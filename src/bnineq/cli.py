@@ -28,6 +28,7 @@ import sys
 from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
+    RESIDUAL_TOL,
     FourFactorState,
     bn_gap,
     bn_lhs,
@@ -42,8 +43,6 @@ from .sampling import ScanReport, scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
 from .spectra import _log_scale
 from .tensor import FactorShape, load_state
-
-RESIDUAL_TOL_DEFAULT = 1e-8
 
 
 def _fmt(x: float) -> str:
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=RESIDUAL_TOL_DEFAULT,
+        default=RESIDUAL_TOL,
         help="verification residual gate for the decomposition",
     )
     common(p)

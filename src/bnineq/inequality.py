@@ -19,7 +19,7 @@ near -2 log d, so the violation survives without any freedom of choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,14 +32,8 @@ from .schmidt import (
     schmidt_decompose,
     verify_decomposition,
 )
-from .spectra import entropy_from_eigenvalues, von_neumann_entropy, _log_scale
-from .tensor import (
-    FactorShape,
-    PureState,
-    flatten_index,
-    partial_trace,
-    _partial_trace_array,
-)
+from .spectra import entanglement_entropy
+from .tensor import FactorShape, PureState, flatten_index
 
 #: Factor positions held by the two parties (1-based).
 ALICE_FACTORS = (1, 3)
@@ -51,8 +45,6 @@ ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
 #: bn_gap rejects decompositions whose verify_decomposition score exceeds
 #: this unless the caller overrides it.
 RESIDUAL_TOL = 1e-8
-
-DECOMPOSITION_SOURCES = ("svd", "product", "entangled", "deformed", "rotated", "custom")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,16 +80,24 @@ class GapReport:
 
 
 def bn_lhs(s: FourFactorState, log_base: str = "e") -> float:
-    """Entropy of Alice's marginal: S(tr_24 |psi><psi|)."""
-    return von_neumann_entropy(partial_trace(s.state, ALICE_FACTORS), log_base)
+    """Entropy of Alice's marginal: S(tr_24 |psi><psi|).
+
+    For a pure state this is the entanglement entropy across
+    {1,3} | {2,4}, read off the (d1*d3 x d2*d4) reshape of psi.
+    """
+    d1, d2, d3, d4 = s.state.shape.dims
+    m = s.state.grid().transpose(0, 2, 1, 3).reshape(d1 * d3, d2 * d4)
+    return float(entanglement_entropy(m, log_base))
 
 
-def _pair_marginal_entropy(amplitudes: np.ndarray, dims: tuple[int, ...], scale: float) -> float:
-    """Entropy (in nats times ``scale``) of the first-factor marginal of a
-    two-factor pure vector, via squared singular values."""
-    a = amplitudes.reshape(dims)
-    p = np.linalg.svd(a, compute_uv=False) ** 2
-    return entropy_from_eigenvalues(p) * scale
+def _rhs(
+    lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims: tuple[int, ...], log_base: str
+) -> float:
+    """Right-hand side on raw (D x rank) column arrays of a decomposition
+    across {1,2} | {3,4} of a state with local dimensions ``dims``."""
+    s_left = entanglement_entropy(left.T.reshape(-1, dims[0], dims[1]), log_base)
+    s_right = entanglement_entropy(right.T.reshape(-1, dims[2], dims[3]), log_base)
+    return float(lam @ (s_left + s_right))
 
 
 def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
@@ -113,12 +113,7 @@ def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
             f"the inequality is stated for the split {ADDITIVITY_SPLIT.left} | "
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
-    total = 0.0
-    for lam, left, right in zip(dec.coefficients, dec.left_vectors, dec.right_vectors):
-        s_left = von_neumann_entropy(partial_trace(left, (1,)), log_base)
-        s_right = von_neumann_entropy(partial_trace(right, (1,)), log_base)
-        total += float(lam) * (s_left + s_right)
-    return total
+    return _rhs(dec.coefficients, dec.left, dec.right, dec.shape.dims, log_base)
 
 
 def bn_gap(
@@ -132,11 +127,13 @@ def bn_gap(
     """Evaluate both sides of the inequality and their gap.
 
     The decomposition must actually decompose ``s`` (verification score at
-    most ``residual_tol``), otherwise the comparison is meaningless and an
-    :class:`InputError` is raised.
+    most ``residual_tol``, which must be finite), otherwise the comparison
+    is meaningless and an :class:`InputError` is raised.
     """
+    if not math.isfinite(residual_tol):
+        raise InputError(f"residual_tol must be finite, got {residual_tol!r}")
     score = verify_decomposition(s.state, dec)
-    if score > residual_tol:
+    if not (score <= residual_tol):
         raise InputError(
             f"decomposition does not reproduce the state (worst violation "
             f"{score:.3e} > {residual_tol})"
@@ -255,40 +252,13 @@ def deformed_counterexample(
     tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d
     lam = (1.0 + eps * tilt) / big_d
     lam = lam[::-1].copy()  # descending
-    basis = bell_basis(d)
-    rights = tuple(
-        PureState(v.shape, np.conj(v.amplitudes)) for v in basis
-    )
+    left = np.column_stack([v.amplitudes for v in bell_basis(d)])
+    right = np.conj(left)
     shape = FactorShape((d, d, d, d))
-    amps = np.zeros(shape.total_dimension, dtype=np.complex128)
-    for a in range(big_d):
-        amps += math.sqrt(lam[a]) * np.kron(basis[a].amplitudes, rights[a].amplitudes)
+    amps = (left * np.sqrt(lam)) @ right.T
     state = FourFactorState(PureState.normalized(shape, amps))
-    dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, basis, rights)
+    dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
     return state, dec
-
-
-def _objective(
-    lam: np.ndarray,
-    lmat: np.ndarray,
-    rmat: np.ndarray,
-    left_dims: tuple[int, ...],
-    right_dims: tuple[int, ...],
-    scale: float,
-) -> float:
-    """Fast right-hand-side evaluation on raw column arrays.
-
-    Equivalent to :func:`bn_rhs` through the identity that the squared
-    singular values of a reshaped two-factor vector are the eigenvalues of
-    either marginal.
-    """
-    total = 0.0
-    for a in range(lam.size):
-        total += lam[a] * (
-            _pair_marginal_entropy(lmat[:, a], left_dims, scale)
-            + _pair_marginal_entropy(rmat[:, a], right_dims, scale)
-        )
-    return total
 
 
 def _givens(theta: float, phi: float) -> np.ndarray:
@@ -363,18 +333,15 @@ def maximize_rhs(
     sweeps = int(sweeps)
     if restarts < 0 or sweeps < 0:
         raise InputError("restarts and sweeps must be nonnegative")
-    scale = _log_scale(log_base)
     dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
     blocks = degenerate_blocks(dec0.coefficients)
     lam = dec0.coefficients
-    left_dims = dec0.left_vectors[0].shape.dims
-    right_dims = dec0.right_vectors[0].shape.dims
 
     def evaluate(lmat: np.ndarray, rmat: np.ndarray) -> float:
-        return _objective(lam, lmat, rmat, left_dims, right_dims, scale)
+        return _rhs(lam, lmat, rmat, dec0.shape.dims, log_base)
 
-    l0 = dec0.left_matrix()
-    r0 = dec0.right_matrix()
+    l0 = dec0.left
+    r0 = dec0.right
     initial = evaluate(l0, r0)
     wide_blocks = [b for b in blocks if len(b) > 1]
     if not wide_blocks:
@@ -438,11 +405,7 @@ def maximize_rhs(
     if cur_val > best_val:
         best_l, best_r, best_val = cur_l, cur_r, cur_val
 
-    left_shape = dec0.left_vectors[0].shape
-    right_shape = dec0.right_vectors[0].shape
-    lefts = tuple(PureState(left_shape, best_l[:, a]) for a in range(dec0.rank))
-    rights = tuple(PureState(right_shape, best_r[:, a]) for a in range(dec0.rank))
-    best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, lefts, rights)
+    best_dec = replace(dec0, left=best_l, right=best_r)
     descriptor = f"restarts={restarts} sweeps_used={sweeps_used}/{sweeps}"
     report = bn_gap(s, best_dec, log_base, source="rotated", descriptor=descriptor)
     return best_dec, report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .inequality import ADDITIVITY_SPLIT, FourFactorState, bn_gap
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, bn_lhs, bn_rhs
 from .schmidt import schmidt_decompose, verify_decomposition
 from .tensor import FactorShape, PureState
 
@@ -144,14 +144,13 @@ def scan(
             psi = haar_state(shape, sub_seed)
             dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
             score = verify_decomposition(psi, dec)
-            if score > SCAN_RESIDUAL_TOL:
+            if not (score <= SCAN_RESIDUAL_TOL):
                 raise NumericalError(
                     f"decomposition verification score {score:.3e} > {SCAN_RESIDUAL_TOL}"
                 )
-            report = bn_gap(FourFactorState(psi), dec, log_base, source="svd")
-            rows.append(
-                SampleRecord(i, sub_seed, report.lhs, report.rhs, report.gap)
-            )
+            lhs = bn_lhs(FourFactorState(psi), log_base)
+            rhs = bn_rhs(dec, log_base)
+            rows.append(SampleRecord(i, sub_seed, lhs, rhs, lhs - rhs))
         except NumericalError as exc:
             rows.append(
                 SampleRecord(i, sub_seed, float("nan"), float("nan"), float("nan"), str(exc))

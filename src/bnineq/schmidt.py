@@ -11,13 +11,14 @@ mixed by any unitary, with the conjugate unitary applied on the other side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectra
 from .exceptions import InputError
-from .tensor import FactorShape, PureState, partial_trace, permute_factors
+from .tensor import FactorShape, PureState, permute_factors
 
 #: Relative gap under which neighbouring Schmidt coefficients are treated
 #: as degenerate.
@@ -78,42 +79,51 @@ def _check_split(shape: FactorShape, split: BipartiteSplit) -> None:
 def _arranged_matrix(psi: PureState, split: BipartiteSplit) -> np.ndarray:
     """The state as a (left-dim x right-dim) matrix in split order."""
     arranged = permute_factors(psi, split.left + split.right)
-    d_left = 1
-    for d in _side_dims(psi.shape, split.left):
-        d_left *= d
-    return arranged.amplitudes.reshape(d_left, -1)
+    return arranged.amplitudes.reshape(math.prod(_side_dims(psi.shape, split.left)), -1)
 
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Coefficients and vector families of a Schmidt form.
+    """Coefficients and Schmidt vectors of a state of ``shape``, as arrays.
 
-    The constructor checks structure only (matching lengths and shapes,
-    coefficients nonnegative, descending, summing to 1).  Orthonormality
-    of the families and agreement with a source state are the business of
-    :func:`verify_decomposition`, which deliberately accepts defective
-    hand-built instances so it can report how bad they are.
+    Column a of ``left`` (D_L x rank) is l_a on the factors ``split.left``
+    and column a of ``right`` (D_R x rank) is r_a on ``split.right``, each
+    in the row-major order of its side's factors taken in split order.
+
+    The constructor checks structure only (finite entries, matching array
+    shapes, coefficients nonnegative, descending, summing to 1).
+    Orthonormality of the columns and agreement with a source state are
+    the business of :func:`verify_decomposition`, which deliberately
+    accepts defective hand-built instances so it can report how bad they
+    are.
     """
 
     split: BipartiteSplit
     coefficients: np.ndarray
-    left_vectors: tuple[PureState, ...]
-    right_vectors: tuple[PureState, ...]
+    left: np.ndarray
+    right: np.ndarray
+    shape: FactorShape
 
     def __post_init__(self) -> None:
         lam = np.array(self.coefficients, dtype=np.float64).reshape(-1)
-        lam.setflags(write=False)
-        object.__setattr__(self, "coefficients", lam)
-        object.__setattr__(self, "left_vectors", tuple(self.left_vectors))
-        object.__setattr__(self, "right_vectors", tuple(self.right_vectors))
+        _check_split(self.shape, self.split)
         k = lam.size
         if k == 0:
             raise InputError("a decomposition needs at least one term")
-        if len(self.left_vectors) != k or len(self.right_vectors) != k:
-            raise InputError(
-                f"{k} coefficients but {len(self.left_vectors)} left / "
-                f"{len(self.right_vectors)} right vectors"
-            )
+        for side in ("left", "right"):
+            cols = np.array(getattr(self, side), dtype=np.complex128)
+            rows = math.prod(_side_dims(self.shape, getattr(self.split, side)))
+            if cols.shape != (rows, k):
+                raise InputError(
+                    f"{side} vectors have array shape {cols.shape}, expected {(rows, k)} "
+                    f"for {k} coefficients"
+                )
+            if not np.all(np.isfinite(cols)):
+                raise InputError(f"{side} vectors have non-finite entries")
+            cols.setflags(write=False)
+            object.__setattr__(self, side, cols)
+        if not np.all(np.isfinite(lam)):
+            raise InputError("Schmidt coefficients must be finite")
         if np.any(lam < 0.0):
             raise InputError(f"negative Schmidt coefficient: {float(lam.min())!r}")
         if np.any(np.diff(lam) > 0.0):
@@ -121,27 +131,12 @@ class SchmidtDecomposition:
         total = float(lam.sum())
         if abs(total - 1.0) > 1e-10:
             raise InputError(f"Schmidt coefficients sum to {total!r}, expected 1")
-        left_shape = self.left_vectors[0].shape
-        right_shape = self.right_vectors[0].shape
-        if len(left_shape.dims) != len(self.split.left) or len(right_shape.dims) != len(
-            self.split.right
-        ):
-            raise InputError("vector factor counts do not match the split")
-        if any(v.shape.dims != left_shape.dims for v in self.left_vectors) or any(
-            v.shape.dims != right_shape.dims for v in self.right_vectors
-        ):
-            raise InputError("all vectors on one side must share one shape")
+        lam.setflags(write=False)
+        object.__setattr__(self, "coefficients", lam)
 
     @property
     def rank(self) -> int:
         return int(self.coefficients.size)
-
-    def left_matrix(self) -> np.ndarray:
-        """Left vectors as columns."""
-        return np.column_stack([v.amplitudes for v in self.left_vectors])
-
-    def right_matrix(self) -> np.ndarray:
-        return np.column_stack([v.amplitudes for v in self.right_vectors])
 
 
 def schmidt_decompose(
@@ -159,14 +154,10 @@ def schmidt_decompose(
     m = _arranged_matrix(psi, split)
     u, s, v = spectra.svd(m)
     lam = s.astype(np.float64) ** 2
-    kept = [int(a) for a in range(lam.size) if lam[a] > rank_tol]
-    if not kept:
+    rank = int(np.count_nonzero(lam > rank_tol))
+    if rank == 0:
         raise InputError("state has no Schmidt coefficient above rank_tol")
-    left_shape = FactorShape(_side_dims(psi.shape, split.left))
-    right_shape = FactorShape(_side_dims(psi.shape, split.right))
-    lefts = tuple(PureState(left_shape, u[:, a]) for a in kept)
-    rights = tuple(PureState(right_shape, np.conj(v[:, a])) for a in kept)
-    return SchmidtDecomposition(split, lam[kept], lefts, rights)
+    return SchmidtDecomposition(split, lam[:rank], u[:, :rank], np.conj(v[:, :rank]), psi.shape)
 
 
 def _family_violation(vectors_matrix: np.ndarray) -> float:
@@ -190,17 +181,15 @@ def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
     decomposition scores around machine epsilon; use this as the validity
     gate for hand-built decompositions.
     """
-    _check_split(psi.shape, dec.split)
-    if dec.left_vectors[0].shape.dims != _side_dims(psi.shape, dec.split.left):
-        raise InputError("left vector dimensions do not match the state")
-    if dec.right_vectors[0].shape.dims != _side_dims(psi.shape, dec.split.right):
-        raise InputError("right vector dimensions do not match the state")
-    lmat = dec.left_matrix()
-    rmat = dec.right_matrix()
-    rec = (lmat * np.sqrt(dec.coefficients)) @ rmat.T
+    if dec.shape.dims != psi.shape.dims:
+        raise InputError(
+            f"decomposition of a state with dims {dec.shape.dims} does not match "
+            f"a state with dims {psi.shape.dims}"
+        )
+    rec = (dec.left * np.sqrt(dec.coefficients)) @ dec.right.T
     target = _arranged_matrix(psi, dec.split)
     residual = float(np.linalg.norm(target - rec))
-    worst = max(residual, _family_violation(lmat), _family_violation(rmat))
+    worst = max(residual, _family_violation(dec.left), _family_violation(dec.right))
     worst = max(worst, abs(float(dec.coefficients.sum()) - 1.0))
     return worst
 
@@ -253,18 +242,12 @@ def rotate_block(
     unit_dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(k))))
     if unit_dev > _ORTHO_ATOL:
         raise InputError(f"rotation deviates from unitary by {unit_dev:.3e}")
-    lmat = dec.left_matrix()
-    rmat = dec.right_matrix()
     cols = list(idx)
-    new_l = lmat.copy()
-    new_r = rmat.copy()
-    new_l[:, cols] = lmat[:, cols] @ mat
-    new_r[:, cols] = rmat[:, cols] @ np.conj(mat)
-    left_shape = dec.left_vectors[0].shape
-    right_shape = dec.right_vectors[0].shape
-    lefts = tuple(PureState(left_shape, new_l[:, a]) for a in range(dec.rank))
-    rights = tuple(PureState(right_shape, new_r[:, a]) for a in range(dec.rank))
-    return SchmidtDecomposition(dec.split, dec.coefficients, lefts, rights)
+    new_l = dec.left.copy()
+    new_r = dec.right.copy()
+    new_l[:, cols] = dec.left[:, cols] @ mat
+    new_r[:, cols] = dec.right[:, cols] @ np.conj(mat)
+    return replace(dec, left=new_l, right=new_r)
 
 
 def decomposition_from_basis(
@@ -287,9 +270,7 @@ def decomposition_from_basis(
     """
     _check_split(psi.shape, split)
     left_dims = _side_dims(psi.shape, split.left)
-    d_left = 1
-    for d in left_dims:
-        d_left *= d
+    d_left = math.prod(left_dims)
     vectors = tuple(basis)
     if len(vectors) != d_left:
         raise InputError(f"basis has {len(vectors)} vectors, expected {d_left}")
@@ -299,18 +280,14 @@ def decomposition_from_basis(
     ortho_dev = float(np.max(np.abs(bmat.conj().T @ bmat - np.eye(d_left))))
     if ortho_dev > _ORTHO_ATOL:
         raise InputError(f"basis deviates from orthonormal by {ortho_dev:.3e}")
-    rho = partial_trace(psi, split.left)
-    mixed_dev = float(np.max(np.abs(rho.entries - np.eye(d_left) / d_left)))
+    m = _arranged_matrix(psi, split)
+    mixed_dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d_left) / d_left)))
     if mixed_dev > MAXIMALLY_MIXED_ATOL:
         raise InputError(
             f"left marginal deviates from maximally mixed by {mixed_dev:.3e}; "
             "an arbitrary basis is not a Schmidt family for this state"
         )
-    m = _arranged_matrix(psi, split)
-    right_shape = FactorShape(_side_dims(psi.shape, split.right))
-    contractions = np.sqrt(d_left) * (bmat.conj().T @ m)
-    rights = tuple(
-        PureState.normalized(right_shape, contractions[a]) for a in range(d_left)
-    )
+    contractions = (bmat.conj().T @ m).T
+    rights = contractions / np.linalg.norm(contractions, axis=0)
     lam = np.full(d_left, 1.0 / d_left)
-    return SchmidtDecomposition(split, lam, vectors, rights)
+    return SchmidtDecomposition(split, lam, bmat, rights, psi.shape)

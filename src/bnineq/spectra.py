@@ -1,8 +1,12 @@
-"""Hermitian spectra, singular values, and von Neumann entropy.
+"""Hermitian spectra, singular values, and entropies.
 
 The decompositions delegate to LAPACK (via numpy.linalg), which easily
 meets the backward-error contracts at the matrix sizes this package deals
 with; the wrappers pin down ordering, validation, and error mapping.
+
+Every entropy of a pure vector goes through one kernel,
+:func:`entanglement_entropy`: the squared singular values of the vector
+reshaped to a matrix, then the clipped Shannon sum.
 """
 
 from __future__ import annotations
@@ -90,6 +94,19 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.conj().T
 
 
+def _shannon(p: np.ndarray, log_base: str, clip_tol: float) -> np.ndarray:
+    """Clipped Shannon sum over the last axis of ``p`` (see
+    :func:`entropy_from_eigenvalues` for the clipping policy)."""
+    scale = _log_scale(log_base)
+    lowest = float(p.min()) if p.size else 0.0
+    if lowest < -clip_tol:
+        raise NumericalError(
+            f"eigenvalue {lowest:.3e} below -{clip_tol}; refusing to clip it silently"
+        )
+    p = np.where(p > 0.0, p, 0.0)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) * scale + 0.0
+
+
 def entropy_from_eigenvalues(values, log_base: str = "e", clip_tol: float = CLIP_TOL) -> float:
     """Shannon entropy of a probability vector given as raw eigenvalues.
 
@@ -98,18 +115,23 @@ def entropy_from_eigenvalues(values, log_base: str = "e", clip_tol: float = CLIP
     because they signal an invalid matrix upstream.  The ``p = 0`` terms
     contribute zero.
     """
-    scale = _log_scale(log_base)
     p = np.asarray(values, dtype=np.float64).reshape(-1)
-    lowest = float(p.min()) if p.size else 0.0
-    if lowest < -clip_tol:
-        raise NumericalError(
-            f"eigenvalue {lowest:.3e} below -{clip_tol}; refusing to clip it silently"
-        )
-    p = np.where(p > 0.0, p, 0.0)
-    nz = p[p > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return float(-(nz * np.log(nz)).sum() * scale) + 0.0
+    return float(_shannon(p, log_base, clip_tol))
+
+
+def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
+    """Entropy of pure vectors across a row | column cut.
+
+    ``matrices`` is a stack (..., m, n) of unit vectors, each reshaped so
+    that its rows index one side of the cut.  The squared singular values
+    are the spectrum of either marginal, so no density matrix is formed.
+    Returns an array of shape ``matrices.shape[:-2]``.
+    """
+    try:
+        s = np.linalg.svd(matrices, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    return _shannon(s**2, log_base, CLIP_TOL)
 
 
 def von_neumann_entropy(

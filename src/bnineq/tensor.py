@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,25 +152,12 @@ class PureState:
                 f"{self.shape.total_dimension} for dims {self.shape.dims}"
             )
         norm = float(np.linalg.norm(amps))
+        if not np.isfinite(norm):
+            raise InputError("state vector has non-finite amplitudes")
         if abs(norm - 1.0) > NORM_ATOL:
             raise InputError(f"state vector norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def unchecked(cls, shape: FactorShape, amplitudes) -> "PureState":
-        """Build a state skipping the norm gate.
-
-        Only for deliberately defective inputs (e.g. exercising
-        ``verify_decomposition``) and internal hot paths; everything else
-        should go through the validating constructor.
-        """
-        obj = object.__new__(cls)
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-        amps.setflags(write=False)
-        object.__setattr__(obj, "shape", shape)
-        object.__setattr__(obj, "amplitudes", amps)
-        return obj
 
     @classmethod
     def normalized(cls, shape: FactorShape, amplitudes) -> "PureState":
@@ -257,20 +245,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def _partial_trace_array(grid: np.ndarray, n_factors: int, keep_axes) -> np.ndarray:
-    """Raw partial trace of a pure-state grid; returns an unhermitized matrix.
-
-    ``keep_axes`` are 0-based axes of ``grid``.  Shared by the public
-    operation and by internal hot paths that skip object construction.
-    """
-    traced_axes = [a for a in range(n_factors) if a not in keep_axes]
-    keep_dim = 1
-    for a in keep_axes:
-        keep_dim *= grid.shape[a]
-    m = grid.transpose(list(keep_axes) + traced_axes).reshape(keep_dim, -1)
-    return m @ m.conj().T
-
-
 def partial_trace(psi: PureState, keep) -> DensityMatrix:
     """Trace out all factors not listed in ``keep``.
 
@@ -293,9 +267,12 @@ def partial_trace(psi: PureState, keep) -> DensityMatrix:
     if len(pos) == 0:
         raise InputError("keep set must not be empty")
     kept = sorted(p - 1 for p in pos)
-    rho = _partial_trace_array(psi.grid(), psi.shape.n_factors, kept)
+    traced = [a for a in range(psi.shape.n_factors) if a not in kept]
+    kept_dims = tuple(psi.shape.dims[a] for a in kept)
+    m = psi.grid().transpose(kept + traced).reshape(math.prod(kept_dims), -1)
+    rho = m @ m.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, FactorShape(tuple(psi.shape.dims[a] for a in kept)))
+    return DensityMatrix(rho, FactorShape(kept_dims))
 
 
 def partial_trace_naive(psi: PureState, keep) -> DensityMatrix:
@@ -369,7 +346,9 @@ def load_state(path) -> PureState:
     if not isinstance(doc, dict) or "dims" not in doc or "amplitudes" not in doc:
         raise InputError(f"state file {path} must be an object with 'dims' and 'amplitudes'")
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in dims
+    ):
         raise InputError(f"state file {path}: 'dims' must be a list of integers")
     shape = FactorShape(tuple(dims))
     raw = doc["amplitudes"]
@@ -390,7 +369,7 @@ def load_state(path) -> PureState:
             )
         amps[k] = complex(pair[0], pair[1])
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > STATE_FILE_NORM_ATOL:
+    if not (abs(norm - 1.0) <= STATE_FILE_NORM_ATOL):
         raise InputError(
             f"state file {path}: amplitude norm {norm!r} is not 1 within {STATE_FILE_NORM_ATOL}"
         )

@@ -214,6 +214,21 @@ def test_exit_2_on_malformed_state_files(capsys, tmp_path):
     assert main(["check", "--input", str(two_factors)]) == 2
 
 
+def test_check_exit_2_on_non_finite_tol(capsys, tmp_path):
+    path = tmp_path / "canon.json"
+    save_state(canonical_counterexample(2).state, path)
+    for tol in ("nan", "inf"):
+        assert main(["check", "--input", str(path), "--tol", tol]) == 2
+
+
+def test_check_exit_2_on_bool_dims(capsys, tmp_path):
+    path = tmp_path / "bool_dims.json"
+    doc = state_to_document(haar_state(FactorShape((1, 2, 2, 2)), 3))
+    doc["dims"][0] = True
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path)]) == 2
+
+
 def test_exit_2_when_maximize_gets_no_or_both_sources(capsys, tmp_path):
     assert main(["maximize"]) == 2
     path = tmp_path / "canon.json"

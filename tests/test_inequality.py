@@ -128,12 +128,34 @@ def test_lhs_of_product_state_vanishes():
     assert bn_lhs(FourFactorState(psi)) < 1e-12
 
 
-def test_lhs_cross_checked_against_naive_oracle():
+# Non-square shapes expose a transposed reshape in the entropy kernel.
+ORACLE_SHAPES = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 3), (2, 3, 4, 2)]
+
+
+def shape_id(dims):
+    return "x".join(str(d) for d in dims)
+
+
+@pytest.mark.parametrize("dims", ORACLE_SHAPES, ids=shape_id)
+def test_lhs_cross_checked_against_naive_oracle(dims):
     for seed in range(5):
-        psi = haar_state(FactorShape((2, 2, 2, 2)), 400 + seed)
+        psi = haar_state(FactorShape(dims), 400 + seed)
         fast = bn_lhs(FourFactorState(psi))
         slow = von_neumann_entropy(partial_trace_naive(psi, (1, 3)))
         assert abs(fast - slow) < 1e-10
+
+
+@pytest.mark.parametrize("dims", ORACLE_SHAPES, ids=shape_id)
+def test_rhs_cross_checked_against_naive_oracle(dims):
+    left_shape, right_shape = FactorShape(dims[:2]), FactorShape(dims[2:])
+    for seed in range(5):
+        dec = schmidt_decompose(haar_state(FactorShape(dims), 700 + seed), ADDITIVITY_SPLIT)
+        slow = 0.0
+        for lam, left, right in zip(dec.coefficients, dec.left.T, dec.right.T):
+            s_left = von_neumann_entropy(partial_trace_naive(PureState(left_shape, left), (1,)))
+            s_right = von_neumann_entropy(partial_trace_naive(PureState(right_shape, right), (1,)))
+            slow += lam * (s_left + s_right)
+        assert abs(bn_rhs(dec) - slow) < 1e-10
 
 
 def test_lhs_invariant_under_bob_local_unitaries():
@@ -202,6 +224,17 @@ def test_gap_requires_matching_decomposition():
     _, other = deformed_counterexample(2, 0.2)
     with pytest.raises(InputError):
         bn_gap(s, other)
+
+
+def test_gap_rejects_non_finite_residual_tol():
+    # A NaN tolerance must not switch the verification gate off.
+    s = canonical_counterexample(2)
+    _, other = deformed_counterexample(2, 0.2)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            bn_gap(s, other, residual_tol=tol)
+        with pytest.raises(InputError):
+            bn_gap(s, entangled_decomposition(2), residual_tol=tol)
 
 
 def test_gap_on_random_state_with_svd_decomposition():
@@ -293,7 +326,7 @@ def test_maximize_is_a_noop_without_degeneracy():
     # the returned vectors match the designated ones up to phase
     _, designated = deformed_counterexample(2, 0.1)
     overlaps = np.abs(
-        np.diag(designated.left_matrix().conj().T @ dec.left_matrix())
+        np.diag(designated.left.conj().T @ dec.left)
     )
     assert np.max(np.abs(overlaps - 1.0)) < 1e-8
 

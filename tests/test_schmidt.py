@@ -108,15 +108,9 @@ def test_verify_scores_sound_decompositions_near_zero():
 def test_verify_reports_scaled_vector_defect():
     psi = canonical_counterexample(2).state
     dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
-    broken_first = PureState.unchecked(
-        dec.left_vectors[0].shape, 2.0 * dec.left_vectors[0].amplitudes
-    )
-    broken = SchmidtDecomposition(
-        dec.split,
-        dec.coefficients,
-        (broken_first,) + dec.left_vectors[1:],
-        dec.right_vectors,
-    )
+    left = dec.left.copy()
+    left[:, 0] *= 2.0
+    broken = SchmidtDecomposition(dec.split, dec.coefficients, left, dec.right, dec.shape)
     score = verify_decomposition(psi, broken)
     assert 0.9 < score < 1.5
 
@@ -154,8 +148,8 @@ def test_degenerate_blocks_rejects_unsorted():
 def test_rotate_block_identity_is_noop():
     dec = schmidt_decompose(canonical_counterexample(2).state, ADDITIVITY_SPLIT)
     same = rotate_block(dec, (0, 1, 2, 3), np.eye(4))
-    assert np.allclose(same.left_matrix(), dec.left_matrix())
-    assert np.allclose(same.right_matrix(), dec.right_matrix())
+    assert np.allclose(same.left, dec.left)
+    assert np.allclose(same.right, dec.right)
 
 
 def test_rotate_block_preserves_the_state():
@@ -167,7 +161,7 @@ def test_rotate_block_preserves_the_state():
     assert verify_decomposition(psi, rotated) < 1e-12
     # rotations compose: applying u then its inverse restores the vectors
     back = rotate_block(rotated, block, u.conj().T)
-    assert np.max(np.abs(back.left_matrix() - dec.left_matrix())) < 1e-12
+    assert np.max(np.abs(back.left - dec.left)) < 1e-12
 
 
 def test_rotate_block_phase_freedom_on_singletons():
@@ -197,10 +191,10 @@ def test_from_basis_product_vectors():
     )
     assert np.allclose(dec.coefficients, [0.25] * 4, atol=1e-15)
     # right vectors mirror the product basis exactly for this state
-    for a, vec in enumerate(dec.right_vectors):
+    for a, vec in enumerate(dec.right.T):
         expected = np.zeros(4)
         expected[a] = 1.0
-        assert np.max(np.abs(vec.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(vec - expected)) < 1e-12
     assert verify_decomposition(canonical_counterexample(2).state, dec) < 1e-12
 
 
@@ -210,8 +204,8 @@ def test_from_basis_bell_vectors_conjugate(d):
     dec = decomposition_from_basis(
         canonical_counterexample(d).state, ADDITIVITY_SPLIT, basis
     )
-    for vec, b in zip(dec.right_vectors, basis):
-        assert np.max(np.abs(vec.amplitudes - np.conj(b.amplitudes))) < 1e-10
+    for vec, b in zip(dec.right.T, basis):
+        assert np.max(np.abs(vec - np.conj(b.amplitudes))) < 1e-10
     assert verify_decomposition(canonical_counterexample(d).state, dec) < 1e-10
 
 
@@ -251,13 +245,23 @@ def test_decomposition_structural_validation():
     dec = schmidt_decompose(canonical_counterexample(2).state, ADDITIVITY_SPLIT)
     with pytest.raises(InputError):
         SchmidtDecomposition(
-            dec.split, np.array([0.5, 0.5]), dec.left_vectors, dec.right_vectors
+            dec.split, np.array([0.5, 0.5]), dec.left, dec.right, dec.shape
         )  # count mismatch
     with pytest.raises(InputError):
         SchmidtDecomposition(
-            dec.split, np.array([0.1, 0.3, 0.3, 0.3]), dec.left_vectors, dec.right_vectors
+            dec.split, np.array([0.1, 0.3, 0.3, 0.3]), dec.left, dec.right, dec.shape
         )  # ascending order
     with pytest.raises(InputError):
         SchmidtDecomposition(
-            dec.split, np.array([0.3, 0.3, 0.3, 0.3]), dec.left_vectors, dec.right_vectors
+            dec.split, np.array([0.3, 0.3, 0.3, 0.3]), dec.left, dec.right, dec.shape
         )  # sum 1.2
+
+
+def test_decomposition_rejects_non_finite_entries():
+    dec = schmidt_decompose(canonical_counterexample(2).state, ADDITIVITY_SPLIT)
+    with pytest.raises(InputError):
+        SchmidtDecomposition(dec.split, np.full(4, np.nan), dec.left, dec.right, dec.shape)
+    left = dec.left.copy()
+    left[0, 0] = np.inf
+    with pytest.raises(InputError):
+        SchmidtDecomposition(dec.split, dec.coefficients, left, dec.right, dec.shape)

@@ -101,6 +101,13 @@ def test_pure_state_norm_gate():
     PureState(FactorShape((2,)), np.array([1.0 + 1e-13, 0.0]))
 
 
+def test_pure_state_rejects_non_finite_amplitudes():
+    with pytest.raises(InputError):
+        PureState(FactorShape((2,)), np.array([np.nan, np.nan]))
+    with pytest.raises(InputError):
+        PureState(FactorShape((2,)), np.array([np.inf, 0.0]))
+
+
 def test_pure_state_length_check():
     with pytest.raises(InputError):
         PureState(FactorShape((2, 2)), np.array([1.0, 0.0]))
@@ -319,6 +326,24 @@ def test_state_file_small_norm_error_is_renormalized(tmp_path):
 )
 def test_state_file_structure_validation(tmp_path, doc):
     path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_state(path)
+
+
+def test_state_file_rejects_bool_dims(tmp_path):
+    # bool is an int subclass: true must not be read as dimension 1.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"dims": [True, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+    with pytest.raises(InputError):
+        load_state(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_file_rejects_nan_amplitude(tmp_path):
+    path = tmp_path / "nan.json"
+    doc = state_to_document(canonical_counterexample(2).state)
+    doc["amplitudes"][3] = [float("nan"), 0.0]
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
         load_state(path)
