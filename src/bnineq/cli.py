@@ -52,11 +52,7 @@ def _fmt(x: float) -> str:
 
 def _sanitize(value):
     """Make a report value JSON-serializable (plain Python types)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if hasattr(value, "item"):
         return value.item()
@@ -236,10 +232,9 @@ def run_maximize(
     else:
         s = canonical_counterexample(dim)
         origin = f"canonical dim={dim}"
-    initial = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
-    initial_rhs = bn_rhs(initial, log_base)
-    blocks = degenerate_blocks(initial.coefficients)
-    _, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed, log_base=log_base)
+    # maximize_rhs first: it refuses an oversized search before any SVD.
+    dec, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed, log_base=log_base)
+    initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT), log_base)
     return {
         "command": "maximize",
         "state": origin,
@@ -251,7 +246,7 @@ def run_maximize(
         "best_rhs": report.rhs,
         "lhs": report.lhs,
         "gap": report.gap,
-        "blocks": [list(b) for b in blocks],
+        "blocks": [list(b) for b in degenerate_blocks(dec.coefficients)],
         "search": report.state_descriptor,
     }
 
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="state file path")
     p.add_argument("--dim", type=int, default=None, help="use the canonical state at this dim")
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--sweeps", type=int, default=50)
+    p.add_argument("--sweeps", type=int, default=2000, help="gradient ascent steps")
     p.add_argument("--seed", type=int, default=0)
     common(p)
 

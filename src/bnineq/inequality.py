@@ -32,7 +32,7 @@ from .schmidt import (
     schmidt_decompose,
     verify_decomposition,
 )
-from .spectra import entanglement_entropy
+from .spectra import entanglement_entropy, entanglement_entropy_grad
 from .tensor import FactorShape, PureState, flatten_index
 
 #: Factor positions held by the two parties (1-based).
@@ -45,6 +45,16 @@ ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
 #: bn_gap rejects decompositions whose verify_decomposition score exceeds
 #: this unless the caller overrides it.
 RESIDUAL_TOL = 1e-8
+
+#: maximize_rhs ends its ascent as converged once the norm of the
+#: Riemannian gradient (in nats) is at most this.
+GRAD_TOL = 1e-9
+
+#: maximize_rhs refuses a search whose estimated work, (restarts + sweeps)
+#: times rank^2 * (d1*d2 + d3*d4) for the largest possible Schmidt rank,
+#: exceeds this.  One unit costs a few ns on a laptop-class CPU, so an
+#: accepted search ends within minutes.
+MAX_SEARCH_WORK = 10**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +100,6 @@ def bn_lhs(s: FourFactorState, log_base: str = "e") -> float:
     return float(entanglement_entropy(m, log_base))
 
 
-def _rhs(
-    lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims: tuple[int, ...], log_base: str
-) -> float:
-    """Right-hand side on raw (D x rank) column arrays of a decomposition
-    across {1,2} | {3,4} of a state with local dimensions ``dims``."""
-    s_left = entanglement_entropy(left.T.reshape(-1, dims[0], dims[1]), log_base)
-    s_right = entanglement_entropy(right.T.reshape(-1, dims[2], dims[3]), log_base)
-    return float(lam @ (s_left + s_right))
-
-
 def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
     """Right-hand side of the inequality for one Schmidt decomposition.
 
@@ -113,7 +113,10 @@ def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
             f"the inequality is stated for the split {ADDITIVITY_SPLIT.left} | "
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
-    return _rhs(dec.coefficients, dec.left, dec.right, dec.shape.dims, log_base)
+    d1, d2, d3, d4 = dec.shape.dims
+    s_left = entanglement_entropy(dec.left.T.reshape(-1, d1, d2), log_base)
+    s_right = entanglement_entropy(dec.right.T.reshape(-1, d3, d4), log_base)
+    return float(dec.coefficients @ (s_left + s_right))
 
 
 def bn_gap(
@@ -261,151 +264,116 @@ def deformed_counterexample(
     return state, dec
 
 
-def _givens(theta: float, phi: float) -> np.ndarray:
-    """Two-index complex rotation: unitary mixing of one column pair."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    e = np.exp(1j * phi)
-    return np.array([[c, -s * np.conj(e)], [s * e, c]], dtype=np.complex128)
-
-
-def _golden_section(f, lo: float, hi: float, iterations: int = 28) -> tuple[float, float]:
-    """Maximize ``f`` on [lo, hi]; returns (argmax, value)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
-
-
-def _line_search(f, lo: float, hi: float, coarse: int = 8) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement of the best
-    bracket; tolerates the multimodal slices that block rotations produce."""
-    xs = np.linspace(lo, hi, coarse + 1)
-    vals = [f(float(x)) for x in xs]
-    best = int(np.argmax(vals))
-    a = float(xs[max(best - 1, 0)])
-    b = float(xs[min(best + 1, coarse)])
-    x, v = _golden_section(f, a, b)
-    if vals[best] > v:
-        return float(xs[best]), vals[best]
-    return x, v
+def _rhs_ascent(
+    lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims: tuple[int, ...], mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The rhs in nats of the (D x rank) columns ``left`` and ``right``, and
+    its Riemannian gradient G for left -> left e^X, right -> right conj(e^X):
+    d rhs = Re tr(G^H X) for skew-Hermitian X that vanish outside ``mask``."""
+    d1, d2, d3, d4 = dims
+    k = lam.size
+    s_left, g_left = entanglement_entropy_grad(left.T.reshape(k, d1, d2))
+    s_right, g_right = entanglement_entropy_grad(right.T.reshape(k, d3, d4))
+    e = left.conj().T @ (g_left.reshape(k, -1).T * lam)
+    e += np.conj(right.conj().T @ (g_right.reshape(k, -1).T * lam))
+    return float(lam @ (s_left + s_right)), np.where(mask, 0.5 * (e - e.conj().T), 0.0)
 
 
 def maximize_rhs(
     s: FourFactorState,
     restarts: int = 20,
-    sweeps: int = 50,
+    sweeps: int = 2000,
     seed: int = 0,
     log_base: str = "e",
 ) -> tuple[SchmidtDecomposition, GapReport]:
     """Search the Schmidt freedom of ``s`` for a large right-hand side.
 
     Starts from the SVD decomposition across the {1,2} | {3,4} split and
-    explores the unitary freedom of each degenerate coefficient block:
-    ``restarts`` Haar-random block unitaries seed the search (the best
-    start wins, ties to the lowest index), then ``sweeps`` passes of
-    greedy two-index rotations refine it, choosing rotation angle and
-    phase by a coarse-grid-plus-golden-section line search on the
-    objective.  A pass that improves the objective by less than 1e-12
-    ends the refinement early.
+    explores the unitary freedom W of its degenerate coefficient blocks:
+    left vectors become L W and right vectors R conj(W), with W
+    block-diagonal over the blocks.  ``restarts`` Haar-random block
+    unitaries seed the search (the best start wins, ties to the lowest
+    index).  A Riemannian gradient ascent on W then refines it.  Each
+    ascent step, at most ``sweeps`` of them, moves along the gradient by a
+    Cayley retraction; the step length is Barzilai-Borwein, halved until
+    the step ascends by the Armijo rule.  The ascent stops as "converged"
+    when the gradient norm is at most ``GRAD_TOL`` or when no step ascends,
+    and as "budget" when all ``sweeps`` steps are used.
 
-    Never returns a worse decomposition than the SVD start.  States with
-    no degenerate block have no freedom and come back unchanged.  The
-    report's source tag is "rotated" when any freedom was explored and
-    "svd" otherwise; its descriptor records the budget actually used.
+    Every accepted step ascends, so the result is never worse than the
+    SVD start.  States with no degenerate block have no freedom and come
+    back unchanged.  The report's source tag is "rotated" when any freedom
+    was explored and "svd" otherwise; its descriptor records the steps
+    used and the stop reason.  A search whose estimated work exceeds
+    ``MAX_SEARCH_WORK`` raises :class:`InputError` before it starts.
     """
     from .sampling import derive_seed, haar_unitary
 
-    restarts = int(restarts)
-    sweeps = int(sweeps)
+    restarts, sweeps = int(restarts), int(sweeps)
     if restarts < 0 or sweeps < 0:
         raise InputError("restarts and sweeps must be nonnegative")
+    dims = s.state.shape.dims
+    d1, d2, d3, d4 = dims
+    work = (restarts + sweeps) * min(d1 * d2, d3 * d4) ** 2 * (d1 * d2 + d3 * d4)
+    if work > MAX_SEARCH_WORK:
+        raise InputError(
+            f"maximize on dims {dims} with {restarts} restarts and {sweeps} sweeps exceeds the "
+            f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
+        )
     dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
-    blocks = degenerate_blocks(dec0.coefficients)
-    lam = dec0.coefficients
-
-    def evaluate(lmat: np.ndarray, rmat: np.ndarray) -> float:
-        return _rhs(lam, lmat, rmat, dec0.shape.dims, log_base)
-
-    l0 = dec0.left
-    r0 = dec0.right
-    initial = evaluate(l0, r0)
-    wide_blocks = [b for b in blocks if len(b) > 1]
+    wide_blocks = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
     if not wide_blocks:
         report = bn_gap(s, dec0, log_base, source="svd", descriptor="no degenerate freedom")
         return dec0, report
+    lam = dec0.coefficients
+    k = lam.size
+    mask = np.zeros((k, k), dtype=bool)
+    for b in wide_blocks:
+        mask[np.ix_(b, b)] = True
 
-    def apply_blocks(unitaries) -> tuple[np.ndarray, np.ndarray]:
-        lmat = l0.copy()
-        rmat = r0.copy()
-        for b, u in zip(wide_blocks, unitaries):
-            cols = list(b)
-            lmat[:, cols] = l0[:, cols] @ u
-            rmat[:, cols] = r0[:, cols] @ np.conj(u)
-        return lmat, rmat
-
-    best_l, best_r = l0, r0
-    best_val = initial
+    lmat, rmat = dec0.left, dec0.right
+    value, grad = _rhs_ascent(lam, lmat, rmat, dims, mask)
     for r in range(restarts):
-        unitaries = [
-            haar_unitary(len(b), derive_seed(seed, r * len(wide_blocks) + bi))
-            for bi, b in enumerate(wide_blocks)
-        ]
-        lmat, rmat = apply_blocks(unitaries)
-        val = evaluate(lmat, rmat)
-        if val > best_val + 1e-15:
-            best_l, best_r, best_val = lmat, rmat, val
+        w = np.eye(k, dtype=np.complex128)
+        for bi, b in enumerate(wide_blocks):
+            w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide_blocks) + bi))
+        trial = (dec0.left @ w, dec0.right @ np.conj(w))
+        t_value, t_grad = _rhs_ascent(lam, *trial, dims, mask)
+        if t_value > value + 1e-15:
+            (lmat, rmat), value, grad = trial, t_value, t_grad
 
-    sweeps_used = 0
-    cur_l = best_l.copy()
-    cur_r = best_r.copy()
-    cur_val = best_val
-    for _ in range(sweeps):
-        sweeps_used += 1
-        pass_start = cur_val
-        for b in wide_blocks:
-            for ia in range(len(b)):
-                for ib in range(ia + 1, len(b)):
-                    i, j = b[ia], b[ib]
-
-                    def rotated(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-                        g = _givens(theta, phi)
-                        lmat = cur_l.copy()
-                        rmat = cur_r.copy()
-                        lmat[:, [i, j]] = cur_l[:, [i, j]] @ g
-                        rmat[:, [i, j]] = cur_r[:, [i, j]] @ np.conj(g)
-                        return lmat, rmat
-
-                    theta, _ = _line_search(
-                        lambda t: evaluate(*rotated(t, 0.0)), -math.pi / 2, math.pi / 2
-                    )
-                    phi, _ = _line_search(
-                        lambda p: evaluate(*rotated(theta, p)), -math.pi, math.pi
-                    )
-                    lmat, rmat = rotated(theta, phi)
-                    val = evaluate(lmat, rmat)
-                    if val > cur_val:
-                        cur_l, cur_r, cur_val = lmat, rmat, val
-        if cur_val - pass_start < 1e-12:
+    eye = np.eye(k)
+    step, used, stop = 1.0, 0, "converged"
+    while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
+        if used == sweeps:
+            stop = "budget"
             break
+        used += 1
+        # Cayley retraction with Armijo backtracking; a step that moves W
+        # by less than roundoff means no ascent is possible from here.
+        while step * math.sqrt(norm2) > 1e-15:
+            q = np.linalg.solve(eye - 0.5 * step * grad, eye + 0.5 * step * grad)
+            trial = (lmat @ q, rmat @ np.conj(q))
+            t_value, t_grad = _rhs_ascent(lam, *trial, dims, mask)
+            if t_value >= value + 1e-4 * step * norm2:
+                break
+            step *= 0.5
+        else:
+            break
+        # Barzilai-Borwein length for the next step, alternating the long and
+        # the short formula; the curvature is -<s, y> as the rhs is maximised.
+        s_vec, y_vec = step * grad, t_grad - grad
+        curvature = -float(np.vdot(s_vec, y_vec).real)
+        if curvature <= 0.0:
+            step *= 2.0
+        elif used % 2:
+            step = float(np.vdot(s_vec, s_vec).real) / curvature
+        else:
+            step = curvature / float(np.vdot(y_vec, y_vec).real)
+        step = min(step, 1e20)  # keeps the backtracking loop finite
+        (lmat, rmat), value, grad = trial, t_value, t_grad
 
-    if cur_val > best_val:
-        best_l, best_r, best_val = cur_l, cur_r, cur_val
-
-    best_dec = replace(dec0, left=best_l, right=best_r)
-    descriptor = f"restarts={restarts} sweeps_used={sweeps_used}/{sweeps}"
+    best_dec = replace(dec0, left=lmat, right=rmat)
+    descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
     report = bn_gap(s, best_dec, log_base, source="rotated", descriptor=descriptor)
     return best_dec, report

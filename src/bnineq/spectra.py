@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .tensor import DensityMatrix
-
-#: Eigenvalues of a density matrix in [-CLIP_TOL, 0) are treated as
-#: roundoff and clipped to zero; anything more negative is an error.
-CLIP_TOL = 1e-12
+from .tensor import CLIP_TOL, DensityMatrix
 
 LOG_BASES = ("e", "2")
 
@@ -132,6 +128,24 @@ def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     return _shannon(s**2, log_base, CLIP_TOL)
+
+
+def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`entanglement_entropy` in nats together with its gradient.
+
+    For each ``M = U diag(s) V^H`` in the stack the gradient is
+    ``G = -2 U diag(s ln s^2) V^H``, so that ``dS = Re tr(G^H dM)`` for
+    every variation that keeps M a unit vector: the ``-2 M`` part of the
+    full derivative is orthogonal to such dM and is left out.  Returns the
+    entropies (shape ``matrices.shape[:-2]``) and the stack of gradients.
+    """
+    try:
+        u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    p = s**2
+    weights = -2.0 * s * np.log(np.where(p > 0.0, p, 1.0))
+    return _shannon(p, "e", CLIP_TOL), (u * weights[..., None, :]) @ vh
 
 
 def von_neumann_entropy(

@@ -35,8 +35,10 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 
-#: Density-matrix eigenvalues may dip this far below zero from roundoff.
-EIGENVALUE_FLOOR = -1e-10
+#: Density-matrix eigenvalues in [-CLIP_TOL, 0) are roundoff: DensityMatrix
+#: accepts them and the entropy functions clip them to zero.  Anything more
+#: negative is rejected by both.
+CLIP_TOL = 1e-10
 
 #: State files are accepted when the stored amplitudes have norm within
 #: this tolerance of one; they are renormalized exactly on load.
@@ -59,9 +61,7 @@ class FactorShape:
             raise InputError("a shape needs at least one factor")
         if any(d < 1 for d in dims):
             raise InputError(f"factor dimensions must be >= 1, got {dims}")
-        total = 1
-        for d in dims:
-            total *= d
+        total = math.prod(dims)
         if total > MAX_TOTAL_DIMENSION:
             raise InputError(
                 f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIMENSION}"
@@ -73,10 +73,7 @@ class FactorShape:
 
     @property
     def total_dimension(self) -> int:
-        total = 1
-        for d in self.dims:
-            total *= d
-        return total
+        return math.prod(self.dims)
 
     def strides(self) -> tuple[int, ...]:
         """Row-major strides: the weight of each factor in the linear index."""
@@ -235,8 +232,8 @@ class DensityMatrix:
         if trace_dev > TRACE_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
         lowest = float(np.min(np.linalg.eigvalsh(m)))
-        if lowest < EIGENVALUE_FLOOR:
-            raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor {EIGENVALUE_FLOOR}")
+        if lowest < -CLIP_TOL:
+            raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor -{CLIP_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +236,19 @@ def test_exit_2_when_maximize_gets_no_or_both_sources(capsys, tmp_path):
     path = tmp_path / "canon.json"
     save_state(canonical_counterexample(2).state, path)
     assert main(["maximize", "--input", str(path), "--dim", "2"]) == 2
+
+
+def test_maximize_exit_2_on_oversized_search(capsys):
+    t0 = time.perf_counter()
+    assert main(["maximize", "--dim", "31"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "work limit" in capsys.readouterr().err
+
+
+def test_maximize_accepts_dim_5_at_the_default_budget(capsys):
+    code, doc = run_json(capsys, ["maximize", "--dim", "5"])
+    assert code == 0
+    assert re.fullmatch(r"restarts=20 sweeps_used=\d+/2000 stop=(converged|budget)", doc["search"])
 
 
 def test_argparse_rejects_unknown_flags():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bnineq import (
     canonical_counterexample,
     deformed_counterexample,
     degenerate_blocks,
+    derive_seed,
     entangled_decomposition,
     flatten_index,
     haar_state,
@@ -28,6 +31,7 @@ from bnineq import (
     verify_decomposition,
     von_neumann_entropy,
 )
+from bnineq.inequality import _rhs_ascent
 
 TWO_LN_TWO = 1.3862943611198906
 TWO_LN_THREE = 2.1972245773362196
@@ -343,3 +347,75 @@ def test_maximize_seed_determinism():
     _, a = maximize_rhs(s, restarts=3, sweeps=2, seed=11)
     _, b = maximize_rhs(s, restarts=3, sweeps=2, seed=11)
     assert a.rhs == b.rhs
+
+
+def test_maximize_reports_its_stop_reason():
+    s = canonical_counterexample(2)
+    _, report = maximize_rhs(s)
+    assert report.state_descriptor.startswith("restarts=20 sweeps_used=")
+    assert report.state_descriptor.endswith("/2000 stop=converged")
+    _, report = maximize_rhs(s, sweeps=1)
+    assert report.state_descriptor == "restarts=20 sweeps_used=1/1 stop=budget"
+
+
+def bell_pair_state(dims):
+    """|Phi>_13 (x) |Phi>_24 on factor dims (d1, d2, d1, d2)."""
+    grid = np.zeros(dims, dtype=np.complex128)
+    for i in range(dims[0]):
+        for k in range(dims[1]):
+            grid[i, k, i, k] = 1.0
+    return FourFactorState(PureState.normalized(FactorShape(dims), grid.reshape(-1)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 3)], ids=shape_id)
+def test_rhs_gradient_matches_central_difference(dims):
+    s = bell_pair_state(dims)
+    dec = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
+    k = dec.rank
+    # away from the product start, where the gradient vanishes
+    rotated = rotate_block(dec, tuple(range(k)), haar_unitary(k, 17))
+    left, right = rotated.left, rotated.right
+    mask = np.ones((k, k), dtype=bool)
+    value, grad = _rhs_ascent(dec.coefficients, left, right, dims, mask)
+    assert abs(value - bn_rhs(rotated)) < 1e-12
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    x = 0.5 * (z - z.conj().T)
+    # exp(t x) from the eigenvectors of the Hermitian matrix -i x
+    evals, evecs = np.linalg.eigh(-1j * x)
+
+    def rhs_along(t):
+        u = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
+        return _rhs_ascent(dec.coefficients, left @ u, right @ np.conj(u), dims, mask)[0]
+
+    h = 1e-6
+    central = (rhs_along(h) - rhs_along(-h)) / (2 * h)
+    assert abs(central - float(np.vdot(grad, x).real)) < 1e-6
+    assert abs(central) > 1e-3  # the direction actually moves the rhs
+
+
+@pytest.mark.parametrize("d, seeds", [(2, 20), (3, 10)])
+def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
+    s = canonical_counterexample(d)
+    for k in range(seeds):
+        t0 = time.perf_counter()
+        dec, report = maximize_rhs(s, seed=derive_seed(0, k))
+        assert time.perf_counter() - t0 < 2.0
+        assert abs(report.rhs - 2 * np.log(d)) <= 1e-9, (k, report.state_descriptor)
+        assert verify_decomposition(s.state, dec) <= 1e-10
+
+
+def test_maximize_reaches_the_bound_on_a_non_square_state():
+    # rhs <= ln min(d1, d2) + ln min(d3, d4) = 2 ln 2 on (2, 3, 2, 3)
+    s = bell_pair_state((2, 3, 2, 3))
+    dec, report = maximize_rhs(s)
+    assert abs(report.rhs - TWO_LN_TWO) <= 1e-9, report.state_descriptor
+    assert verify_decomposition(s.state, dec) <= 1e-10
+
+
+def test_maximize_refuses_an_oversized_search_before_it_starts():
+    s = canonical_counterexample(31)
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="work limit"):
+        maximize_rhs(s)
+    assert time.perf_counter() - t0 < 1.0

@@ -8,6 +8,7 @@ from bnineq import (
     NumericalError,
     PureState,
     Spectrum,
+    entropy_from_eigenvalues,
     hermitian_eigen,
     partial_trace,
     svd,
@@ -139,12 +140,27 @@ def test_entropy_clipping_policy():
     # (the eigenvalue just above 1 still contributes its own tiny term)
     rho = one_factor_density([1.0 + 5e-13, -5e-13])
     assert abs(von_neumann_entropy(rho)) < 1e-12
-    # below the window the matrix is treated as corrupt
+    # below the window the spectrum is treated as corrupt, and no density
+    # matrix with such an eigenvalue can be built in the first place
+    with pytest.raises(NumericalError):
+        entropy_from_eigenvalues([1.0 + 1e-9, -1e-9])
+    with pytest.raises(InputError):
+        one_factor_density([1.0 + 1e-9, -1e-9])
+    # unless the caller widens the window explicitly
+    assert entropy_from_eigenvalues([1.0 + 1e-9, -1e-9], clip_tol=1e-8) == pytest.approx(
+        0.0, abs=1e-8
+    )
+    # a caller may also narrow it
     rho = one_factor_density([1.0 + 1e-11, -1e-11])
     with pytest.raises(NumericalError):
-        von_neumann_entropy(rho)
-    # unless the caller widens the window explicitly
-    assert von_neumann_entropy(rho, clip_tol=1e-10) == pytest.approx(0.0, abs=1e-9)
+        von_neumann_entropy(rho, clip_tol=1e-12)
+
+
+def test_every_density_matrix_has_an_entropy():
+    # DensityMatrix and the entropy code share one roundoff window, so a
+    # matrix that constructs cleanly never fails in von_neumann_entropy
+    rho = one_factor_density([0.5 + 5e-11, 0.5, -5e-11])
+    assert von_neumann_entropy(rho) == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 def test_entropy_unitary_invariance():
