@@ -10,8 +10,6 @@ Schmidt spectra for the largest right-hand side.
 from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
-    ALICE_FACTORS,
-    BOB_FACTORS,
     FourFactorState,
     GapReport,
     bell_basis,
@@ -54,7 +52,6 @@ from .tensor import (
     FactorShape,
     PureState,
     basis_state,
-    conjugate_state,
     flatten_index,
     kron_state,
     load_state,
@@ -63,13 +60,10 @@ from .tensor import (
     permute_factors,
     save_state,
     state_to_document,
-    unflatten_index,
 )
 
 __all__ = [
     "ADDITIVITY_SPLIT",
-    "ALICE_FACTORS",
-    "BOB_FACTORS",
     "BipartiteSplit",
     "DensityMatrix",
     "FactorShape",
@@ -88,7 +82,6 @@ __all__ = [
     "bn_lhs",
     "bn_rhs",
     "canonical_counterexample",
-    "conjugate_state",
     "decomposition_from_basis",
     "deformed_counterexample",
     "degenerate_blocks",
@@ -113,7 +106,6 @@ __all__ = [
     "schmidt_decompose",
     "state_to_document",
     "svd",
-    "unflatten_index",
     "verify_decomposition",
     "von_neumann_entropy",
 ]

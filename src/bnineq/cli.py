@@ -28,7 +28,6 @@ import sys
 from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
-    RESIDUAL_TOL,
     FourFactorState,
     bn_gap,
     bn_lhs,
@@ -43,6 +42,7 @@ from .sampling import ScanReport, scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
 from .spectra import _log_scale
 from .tensor import FactorShape, load_state
+from .tolerances import RESIDUAL_TOL
 
 
 def _fmt(x: float) -> str:

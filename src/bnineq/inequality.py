@@ -34,27 +34,10 @@ from .schmidt import (
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
 from .tensor import FactorShape, PureState, flatten_index
-
-#: Factor positions held by the two parties (1-based).
-ALICE_FACTORS = (1, 3)
-BOB_FACTORS = (2, 4)
+from .tolerances import GRAD_TOL, MAX_SEARCH_WORK, RESIDUAL_TOL
 
 #: The bipartition across which Schmidt decompositions are taken.
 ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
-
-#: bn_gap rejects decompositions whose verify_decomposition score exceeds
-#: this unless the caller overrides it.
-RESIDUAL_TOL = 1e-8
-
-#: maximize_rhs ends its ascent as converged once the norm of the
-#: Riemannian gradient (in nats) is at most this.
-GRAD_TOL = 1e-9
-
-#: maximize_rhs refuses a search whose estimated work, (restarts + sweeps)
-#: times rank^2 * (d1*d2 + d3*d4) for the largest possible Schmidt rank,
-#: exceeds this.  One unit costs a few ns on a laptop-class CPU, so an
-#: accepted search ends within minutes.
-MAX_SEARCH_WORK = 10**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +281,10 @@ def maximize_rhs(
     Cayley retraction; the step length is Barzilai-Borwein, halved until
     the step ascends by the Armijo rule.  The ascent stops as "converged"
     when the gradient norm is at most ``GRAD_TOL`` or when no step ascends,
-    and as "budget" when all ``sweeps`` steps are used.
+    and as "budget" when all ``sweeps`` steps are used.  "converged" means
+    a stationary point, not a certified maximum: on the canonical family
+    the SVD start is a product basis where the gradient vanishes, so
+    ``restarts=0`` stops there at rhs 0.
 
     Every accepted step ascends, so the result is never worse than the
     SVD start.  States with no degenerate block have no freedom and come

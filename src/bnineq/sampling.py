@@ -18,12 +18,7 @@ from .exceptions import InputError, NumericalError
 from .inequality import ADDITIVITY_SPLIT, FourFactorState, bn_lhs, bn_rhs
 from .schmidt import schmidt_decompose, verify_decomposition
 from .tensor import FactorShape, PureState
-
-#: A sample counts as a violation when its gap is below this.
-VIOLATION_THRESHOLD = -1e-9
-
-#: Scanned decompositions must verify at least this well to be recorded.
-SCAN_RESIDUAL_TOL = 1e-9
+from .tolerances import SCAN_RESIDUAL_TOL, VIOLATION_THRESHOLD
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -122,10 +117,11 @@ def scan(
 
     Sample i uses the state ``haar_state(shape, derive_seed(master_seed,
     i))`` and its Schmidt decomposition across the {1,2} | {3,4} split.
-    A sample whose decomposition fails to verify (score above 1e-9) or
-    whose evaluation raises a numerical error is recorded with an error
-    tag instead of aborting the scan.  Aggregates (min, max, mean gap and
-    the count of gaps below -1e-9) cover the successful samples only.
+    A sample whose decomposition fails to verify (score above
+    ``SCAN_RESIDUAL_TOL``) or whose evaluation raises a numerical error is
+    recorded with an error tag instead of aborting the scan.  Aggregates
+    (min, max, mean gap and the count of gaps below
+    ``VIOLATION_THRESHOLD``) cover the successful samples only.
 
     Note what the aggregate shows: generic Haar states satisfy the
     inequality for the SVD decomposition, so a scan like this alone would

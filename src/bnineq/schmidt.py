@@ -19,19 +19,7 @@ import numpy as np
 from . import spectra
 from .exceptions import InputError
 from .tensor import FactorShape, PureState, permute_factors
-
-#: Relative gap under which neighbouring Schmidt coefficients are treated
-#: as degenerate.
-BLOCK_TOL = 1e-8
-
-#: Schmidt coefficients at or below this value are discarded as zero rank.
-RANK_TOL = 1e-12
-
-#: A left marginal must be this close (entrywise) to maximally mixed for
-#: decomposition_from_basis to apply.
-MAXIMALLY_MIXED_ATOL = 1e-8
-
-_ORTHO_ATOL = 1e-10
+from .tolerances import BLOCK_TOL, MATRIX_ATOL, MAXIMALLY_MIXED_ATOL
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ class SchmidtDecomposition:
         if np.any(np.diff(lam) > 0.0):
             raise InputError("Schmidt coefficients must be sorted in descending order")
         total = float(lam.sum())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > MATRIX_ATOL:
             raise InputError(f"Schmidt coefficients sum to {total!r}, expected 1")
         lam.setflags(write=False)
         object.__setattr__(self, "coefficients", lam)
@@ -139,25 +127,23 @@ class SchmidtDecomposition:
         return int(self.coefficients.size)
 
 
-def schmidt_decompose(
-    psi: PureState, split: BipartiteSplit, rank_tol: float = RANK_TOL
-) -> SchmidtDecomposition:
+def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across ``split`` via SVD.
 
-    The squared singular values of the reshaped state become the
-    coefficients (descending); terms with coefficient <= ``rank_tol`` are
-    dropped.  Right vectors absorb the conjugation needed for the
-    reconstruction identity, i.e. they are the conjugated right-singular
-    vectors.
+    The squared singular values of the reshaped (D_L x D_R) state become
+    the coefficients (descending).  The cut is at the numerical rank, as in
+    ``numpy.linalg.matrix_rank``: a term is kept only if its singular value
+    exceeds ``s_max * max(D_L, D_R) * eps``, so the dropped tail is
+    roundoff, below every residual gate (see :mod:`bnineq.tolerances`).
+    Right vectors absorb the conjugation needed for the reconstruction
+    identity, i.e. they are the conjugated right-singular vectors.
     """
     _check_split(psi.shape, split)
     m = _arranged_matrix(psi, split)
     u, s, v = spectra.svd(m)
-    lam = s.astype(np.float64) ** 2
-    rank = int(np.count_nonzero(lam > rank_tol))
-    if rank == 0:
-        raise InputError("state has no Schmidt coefficient above rank_tol")
-    return SchmidtDecomposition(split, lam[:rank], u[:, :rank], np.conj(v[:, :rank]), psi.shape)
+    rank = int(np.count_nonzero(s > s[0] * max(m.shape) * np.finfo(np.float64).eps))
+    lam = s[:rank] ** 2
+    return SchmidtDecomposition(split, lam, u[:, :rank], np.conj(v[:, :rank]), psi.shape)
 
 
 def _family_violation(vectors_matrix: np.ndarray) -> float:
@@ -194,11 +180,11 @@ def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
     return worst
 
 
-def degenerate_blocks(coefficients, block_tol: float = BLOCK_TOL) -> tuple[tuple[int, ...], ...]:
+def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     """Group indices of descending coefficients into degenerate blocks.
 
     Consecutive coefficients whose gap is at most
-    ``block_tol * max(1, lambda_max)`` land in the same block.  Example:
+    ``BLOCK_TOL * max(1, lambda_max)`` land in the same block.  Example:
     (0.5, 0.5, 0.3, 0.2) gives blocks (0, 1), (2,), (3,).
     """
     lam = np.asarray(coefficients, dtype=np.float64).reshape(-1)
@@ -206,7 +192,7 @@ def degenerate_blocks(coefficients, block_tol: float = BLOCK_TOL) -> tuple[tuple
         raise InputError("empty coefficient list")
     if np.any(np.diff(lam) > 0.0):
         raise InputError("coefficients must be sorted in descending order")
-    threshold = block_tol * max(1.0, float(lam[0]))
+    threshold = BLOCK_TOL * max(1.0, float(lam[0]))
     blocks: list[tuple[int, ...]] = []
     current = [0]
     for a in range(1, lam.size):
@@ -219,9 +205,7 @@ def degenerate_blocks(coefficients, block_tol: float = BLOCK_TOL) -> tuple[tuple
     return tuple(blocks)
 
 
-def rotate_block(
-    dec: SchmidtDecomposition, block, u, block_tol: float = BLOCK_TOL
-) -> SchmidtDecomposition:
+def rotate_block(dec: SchmidtDecomposition, block, u) -> SchmidtDecomposition:
     """Apply the unitary freedom of one degenerate block.
 
     ``block`` must be exactly one of ``degenerate_blocks(dec.coefficients)``
@@ -230,17 +214,15 @@ def rotate_block(
     matrix, which leaves the reconstructed state unchanged.
     """
     idx = tuple(int(a) for a in block)
-    if idx not in degenerate_blocks(dec.coefficients, block_tol):
-        raise InputError(
-            f"{idx} is not a degenerate block of the coefficients "
-            f"(blocks: {degenerate_blocks(dec.coefficients, block_tol)})"
-        )
+    blocks = degenerate_blocks(dec.coefficients)
+    if idx not in blocks:
+        raise InputError(f"{idx} is not a degenerate block of the coefficients (blocks: {blocks})")
     mat = np.asarray(u, dtype=np.complex128)
     k = len(idx)
     if mat.shape != (k, k):
         raise InputError(f"rotation must be {k}x{k} for block {idx}, got {mat.shape}")
     unit_dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(k))))
-    if unit_dev > _ORTHO_ATOL:
+    if unit_dev > MATRIX_ATOL:
         raise InputError(f"rotation deviates from unitary by {unit_dev:.3e}")
     cols = list(idx)
     new_l = dec.left.copy()
@@ -256,10 +238,11 @@ def decomposition_from_basis(
     """Schmidt form with a chosen orthonormal basis as the left vectors.
 
     Only applies when the left marginal of ``psi`` is maximally mixed
-    (entrywise within 1e-8 of I/D): then every orthonormal basis of the
-    left space serves as a family of Schmidt vectors, all coefficients are
-    1/D, and each right vector is the contraction of ``psi`` against the
-    corresponding basis vector, rescaled by sqrt(D).
+    (entrywise within ``MAXIMALLY_MIXED_ATOL`` of I/D): then every
+    orthonormal basis of the left space serves as a family of Schmidt
+    vectors, all coefficients are 1/D, and each right vector is the
+    contraction of ``psi`` against the corresponding basis vector,
+    rescaled by sqrt(D).
 
     Parameters
     ----------
@@ -278,7 +261,7 @@ def decomposition_from_basis(
         raise InputError("basis vectors do not live on the left factors of the split")
     bmat = np.column_stack([v.amplitudes for v in vectors])
     ortho_dev = float(np.max(np.abs(bmat.conj().T @ bmat - np.eye(d_left))))
-    if ortho_dev > _ORTHO_ATOL:
+    if ortho_dev > MATRIX_ATOL:
         raise InputError(f"basis deviates from orthonormal by {ortho_dev:.3e}")
     m = _arranged_matrix(psi, split)
     mixed_dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d_left) / d_left)))

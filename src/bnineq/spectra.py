@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .tensor import CLIP_TOL, DensityMatrix
+from .tensor import DensityMatrix
+from .tolerances import CLIP_TOL, MATRIX_ATOL
 
 LOG_BASES = ("e", "2")
 
@@ -33,11 +34,9 @@ def _log_scale(log_base: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real eigenvalues sorted in descending order, plus the clip tolerance
-    that applies when they are interpreted as a density-matrix spectrum."""
+    """Real eigenvalues sorted in descending order."""
 
     values: np.ndarray
-    tolerance: float = CLIP_TOL
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64).reshape(-1)
@@ -54,24 +53,24 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def hermitian_eigen(m, tol: float = 1e-10) -> tuple[Spectrum, np.ndarray]:
+def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(spectrum, vectors)`` with eigenvalues descending and the
     matching orthonormal eigenvectors as columns, so that
     ``m = vectors @ diag(spectrum.values) @ vectors.conj().T``.  Inputs
-    whose anti-Hermitian part exceeds ``tol`` are rejected.
+    whose anti-Hermitian part exceeds ``MATRIX_ATOL`` are rejected.
     """
     a = _as_square(m)
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if herm_dev > tol:
-        raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e} (tol {tol})")
+    if herm_dev > MATRIX_ATOL:
+        raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
     try:
         w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], tol), v[:, order]
+    return Spectrum(w[order]), v[:, order]
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,29 +89,29 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.conj().T
 
 
-def _shannon(p: np.ndarray, log_base: str, clip_tol: float) -> np.ndarray:
+def _shannon(p: np.ndarray, log_base: str) -> np.ndarray:
     """Clipped Shannon sum over the last axis of ``p`` (see
     :func:`entropy_from_eigenvalues` for the clipping policy)."""
     scale = _log_scale(log_base)
     lowest = float(p.min()) if p.size else 0.0
-    if lowest < -clip_tol:
+    if lowest < -CLIP_TOL:
         raise NumericalError(
-            f"eigenvalue {lowest:.3e} below -{clip_tol}; refusing to clip it silently"
+            f"eigenvalue {lowest:.3e} below -{CLIP_TOL}; refusing to clip it silently"
         )
     p = np.where(p > 0.0, p, 0.0)
     return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) * scale + 0.0
 
 
-def entropy_from_eigenvalues(values, log_base: str = "e", clip_tol: float = CLIP_TOL) -> float:
+def entropy_from_eigenvalues(values, log_base: str = "e") -> float:
     """Shannon entropy of a probability vector given as raw eigenvalues.
 
-    Applies the package clipping policy: values in ``[-clip_tol, 0)``
-    become 0, values below ``-clip_tol`` raise :class:`NumericalError`
+    Applies the package clipping policy: values in ``[-CLIP_TOL, 0)``
+    become 0, values below ``-CLIP_TOL`` raise :class:`NumericalError`
     because they signal an invalid matrix upstream.  The ``p = 0`` terms
     contribute zero.
     """
     p = np.asarray(values, dtype=np.float64).reshape(-1)
-    return float(_shannon(p, log_base, clip_tol))
+    return float(_shannon(p, log_base))
 
 
 def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
@@ -127,7 +126,7 @@ def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
         s = np.linalg.svd(matrices, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return _shannon(s**2, log_base, CLIP_TOL)
+    return _shannon(s**2, log_base)
 
 
 def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
@@ -145,12 +144,10 @@ def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     p = s**2
     weights = -2.0 * s * np.log(np.where(p > 0.0, p, 1.0))
-    return _shannon(p, "e", CLIP_TOL), (u * weights[..., None, :]) @ vh
+    return _shannon(p, "e"), (u * weights[..., None, :]) @ vh
 
 
-def von_neumann_entropy(
-    rho: DensityMatrix, log_base: str = "e", clip_tol: float = CLIP_TOL
-) -> float:
+def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
     """Von Neumann entropy -tr(rho log rho) of a density matrix.
 
     ``log_base`` is "e" for nats (the package default) or "2" for bits.
@@ -159,4 +156,4 @@ def von_neumann_entropy(
         w = np.linalg.eigvalsh(rho.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    return entropy_from_eigenvalues(w, log_base, clip_tol)
+    return entropy_from_eigenvalues(w, log_base)

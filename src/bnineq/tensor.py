@@ -24,25 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InputError
-
-#: Hard cap on the total dimension of any state handled by the package.
-MAX_TOTAL_DIMENSION = 10**6
-
-#: Pure-state amplitude vectors must be normalized to this tolerance.
-NORM_ATOL = 1e-12
-
-#: Density matrices must be Hermitian and unit-trace to this tolerance.
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-
-#: Density-matrix eigenvalues in [-CLIP_TOL, 0) are roundoff: DensityMatrix
-#: accepts them and the entropy functions clip them to zero.  Anything more
-#: negative is rejected by both.
-CLIP_TOL = 1e-10
-
-#: State files are accepted when the stored amplitudes have norm within
-#: this tolerance of one; they are renormalized exactly on load.
-STATE_FILE_NORM_ATOL = 1e-9
+from .tolerances import CLIP_TOL, MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
 
 @dataclass(frozen=True)
@@ -113,20 +95,6 @@ def flatten_index(multi_index, shape: FactorShape) -> int:
     for i, w in zip(idx, shape.strides()):
         linear += i * w
     return linear
-
-
-def unflatten_index(linear_index: int, shape: FactorShape) -> tuple[int, ...]:
-    """Inverse of :func:`flatten_index`."""
-    linear = int(linear_index)
-    if not 0 <= linear < shape.total_dimension:
-        raise InputError(
-            f"linear index {linear} out of range for total dimension {shape.total_dimension}"
-        )
-    out = []
-    for w in shape.strides():
-        out.append(linear // w)
-        linear %= w
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +171,6 @@ def permute_factors(psi: PureState, perm) -> PureState:
     return PureState(new_shape, grid.reshape(-1))
 
 
-def conjugate_state(psi: PureState) -> PureState:
-    """Entry-wise complex conjugate in the computational basis."""
-    return PureState(psi.shape, np.conj(psi.amplitudes))
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix together with
@@ -226,10 +189,10 @@ class DensityMatrix:
                 f"matrix dimension {m.shape[0]} does not match shape {self.origin_shape.dims}"
             )
         herm_dev = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
-        if herm_dev > HERMITICITY_ATOL:
+        if herm_dev > MATRIX_ATOL:
             raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(m)) - 1.0)
-        if trace_dev > TRACE_ATOL:
+        if trace_dev > MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
         lowest = float(np.min(np.linalg.eigvalsh(m)))
         if lowest < -CLIP_TOL:
@@ -329,8 +292,9 @@ def load_state(path) -> PureState:
     The document must look like ``{"dims": [2, 2, 2, 2], "amplitudes":
     [[re, im], ...]}`` with ``amplitudes`` in the row-major order described
     in the module docstring and of length ``prod(dims)``.  The stored
-    vector must have norm 1 within 1e-9; it is renormalized exactly after
-    that gate so downstream code sees a unit vector.
+    vector must have norm 1 within ``STATE_FILE_NORM_ATOL``; it is
+    renormalized exactly after that gate so downstream code sees a unit
+    vector.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 
 from bnineq import (
     FactorShape,
+    PureState,
     canonical_counterexample,
     deformed_counterexample,
     haar_state,
@@ -101,6 +102,24 @@ def test_maximize_from_file_without_freedom(capsys, tmp_path):
     assert code == 0
     assert abs(doc["best_rhs"] - doc["initial_rhs"]) < 1e-10
     assert all(len(b) == 1 for b in doc["blocks"])
+
+
+def test_check_and_maximize_accept_a_small_schmidt_coefficient(capsys, tmp_path):
+    # sqrt(1 - lam)|0000> + sqrt(lam)|1111> is a valid unit vector; cutting
+    # its second Schmidt term would fail the residual gate by sqrt(lam).
+    lam = 1e-13
+    amps = np.zeros(16)
+    amps[0], amps[15] = np.sqrt(1.0 - lam), np.sqrt(lam)
+    path = tmp_path / "tail.json"
+    save_state(PureState(FactorShape((2, 2, 2, 2)), amps), path)
+    code, out = run(capsys, ["check", "--input", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["coefficients"]) == 2
+    assert doc["residual"] <= 1e-15
+    code, out = run(capsys, ["maximize", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["blocks"] == [[0], [1]]
 
 
 def test_scan_json_document(capsys):

@@ -12,10 +12,12 @@ from bnineq import (
     bn_lhs,
     bn_rhs,
     canonical_counterexample,
+    degenerate_blocks,
     derive_seed,
     haar_state,
     haar_unitary,
     maximize_rhs,
+    rotate_block,
     schmidt_decompose,
 )
 
@@ -24,21 +26,25 @@ TWO_LN_TWO = 1.3862943611198906
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
 
-def locally_rotated_canonical(seed):
-    """U1 (x) U2 (x) U3 (x) U4 applied to the canonical d = 2 state, each
-    U_i Haar-random from its own derived seed."""
-    u1, u2, u3, u4 = (haar_unitary(2, derive_seed(seed, i)) for i in range(4))
-    grid = canonical_counterexample(2).state.grid()
-    rotated = np.einsum("ai,bj,ck,dl,ijkl->abcd", u1, u2, u3, u4, grid)
-    return FourFactorState(PureState(FactorShape((2, 2, 2, 2)), rotated.reshape(-1)))
+def locally_rotated(psi, seed):
+    """U1 (x) U2 (x) U3 (x) U4 applied to ``psi``, each U_i Haar-random
+    from its own derived seed."""
+    dims = psi.shape.dims
+    u1, u2, u3, u4 = (haar_unitary(d, derive_seed(seed, i)) for i, d in enumerate(dims))
+    rotated = np.einsum("ai,bj,ck,dl,ijkl->abcd", u1, u2, u3, u4, psi.grid())
+    return FourFactorState(PureState(psi.shape, rotated.reshape(-1)))
+
+
+def svd_rhs(s):
+    return bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seeds)
 def test_local_unitaries_keep_the_violation(seed):
-    s = locally_rotated_canonical(seed)
+    s = locally_rotated(canonical_counterexample(2).state, seed)
     assert abs(bn_lhs(s)) <= 1e-12
-    start = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
+    start = svd_rhs(s)
     _, report = maximize_rhs(s, seed=seed)
     assert report.rhs >= start - 1e-12
     # ln min(d1, d2) + ln min(d3, d4) bounds every rhs
@@ -52,6 +58,32 @@ def test_both_sides_stay_within_their_bounds(seed, dims):
     d1, d2, d3, d4 = dims
     s = FourFactorState(haar_state(FactorShape(dims), seed))
     lhs = bn_lhs(s)
-    rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
+    rhs = svd_rhs(s)
     assert -1e-12 <= lhs <= np.log(d1 * d3) + 1e-12
     assert -1e-12 <= rhs <= np.log(min(d1, d2)) + np.log(min(d3, d4)) + 1e-12
+
+
+haar_shapes = st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3)])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seeds, haar_shapes)
+def test_local_unitaries_leave_both_sides_unchanged(seed, dims):
+    # Haar spectra are non-degenerate, so the SVD decomposition is unique
+    # up to phases and its rhs is a function of the state alone.
+    s = FourFactorState(haar_state(FactorShape(dims), seed))
+    rotated = locally_rotated(s.state, derive_seed(seed, 99))
+    assert abs(bn_lhs(rotated) - bn_lhs(s)) <= 1e-12
+    assert abs(svd_rhs(rotated) - svd_rhs(s)) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seeds, haar_shapes)
+def test_phases_on_single_coefficient_blocks_leave_the_rhs_unchanged(seed, dims):
+    dec = schmidt_decompose(haar_state(FactorShape(dims), seed), ADDITIVITY_SPLIT)
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(dec.rank))
+    rotated = dec
+    for block in degenerate_blocks(dec.coefficients):
+        if len(block) == 1:
+            rotated = rotate_block(rotated, block, phases[block[0]] * np.eye(1))
+    assert abs(bn_rhs(rotated) - bn_rhs(dec)) <= 1e-12

@@ -96,6 +96,23 @@ def test_schmidt_rank_tol_drops_null_directions():
     assert dec.rank == 1
 
 
+def tiny_tail_state(lam):
+    """sqrt(1 - lam)|0000> + sqrt(lam)|1111>: Schmidt coefficients 1 - lam, lam."""
+    amps = np.zeros(16)
+    amps[0], amps[15] = np.sqrt(1.0 - lam), np.sqrt(lam)
+    return PureState(FactorShape((2, 2, 2, 2)), amps)
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-15, 1e-20])
+def test_schmidt_keeps_small_coefficients_above_roundoff(lam):
+    # Dropping the small term would leave a residual of sqrt(lam), which
+    # for lam = 1e-13 is above the residual gate of bn_gap.
+    psi = tiny_tail_state(lam)
+    dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
+    assert dec.rank == 2
+    assert verify_decomposition(psi, dec) <= 1e-15
+
+
 # ------------------------------------------------------------------- verify
 
 
