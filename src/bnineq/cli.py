@@ -12,6 +12,10 @@ Subcommands map onto the library's main entry points:
 * ``maximize`` searches the Schmidt freedom of a state for the largest
   right-hand side.
 
+The library computes every entropy in nats.  This module alone knows about
+bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 as the
+report is written, and nothing else.
+
 Exit codes: 0 on success, 2 on invalid input (bad arguments or malformed
 state files), 3 on numerical failure.  All numeric output is written with
 17 significant digits, so JSON and CSV payloads agree bit-for-bit after
@@ -40,7 +44,6 @@ from .inequality import (
 )
 from .sampling import ScanReport, scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
-from .spectra import _log_scale
 from .tensor import FactorShape, load_state
 from .tolerances import RESIDUAL_TOL
 
@@ -50,15 +53,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _sanitize(value):
-    """Make a report value JSON-serializable (plain Python types)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if hasattr(value, "item"):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return str(value)
+def _unit(log_base: str) -> float:
+    """Factor that turns nats into the unit of ``--log-base``."""
+    return 1.0 if log_base == "e" else 1.0 / math.log(2.0)
 
 
 def _csv_cell(value) -> str:
@@ -85,14 +82,15 @@ def _scalar_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_csv(report: ScanReport) -> str:
+def _scan_csv(report: ScanReport, log_base: str) -> str:
+    k = _unit(log_base)
     lines = [
         f"# n_samples={report.n_samples}",
         f"# shape={'x'.join(str(d) for d in report.shape.dims)}",
         f"# master_seed={report.master_seed}",
-        f"# min_gap={_fmt(report.min_gap)}",
-        f"# max_gap={_fmt(report.max_gap)}",
-        f"# mean_gap={_fmt(report.mean_gap)}",
+        f"# min_gap={_fmt(report.min_gap * k)}",
+        f"# max_gap={_fmt(report.max_gap * k)}",
+        f"# mean_gap={_fmt(report.mean_gap * k)}",
         f"# violation_count={report.violation_count}",
         "sample_index,derived_seed,lhs,rhs,gap",
     ]
@@ -100,7 +98,7 @@ def _scan_csv(report: ScanReport) -> str:
         if row.error is None:
             lines.append(
                 f"{row.sample_index},{row.derived_seed},"
-                f"{_fmt(row.lhs)},{_fmt(row.rhs)},{_fmt(row.gap)}"
+                f"{_fmt(row.lhs * k)},{_fmt(row.rhs * k)},{_fmt(row.gap * k)}"
             )
     for row in report.per_sample:
         if row.error is not None:
@@ -111,23 +109,24 @@ def _scan_csv(report: ScanReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_doc(report: ScanReport) -> dict:
+def _scan_doc(report: ScanReport, log_base: str) -> dict:
+    k = _unit(log_base)
     return {
         "command": "scan",
         "n_samples": report.n_samples,
         "shape": list(report.shape.dims),
         "master_seed": report.master_seed,
-        "min_gap": report.min_gap,
-        "max_gap": report.max_gap,
-        "mean_gap": report.mean_gap,
+        "min_gap": report.min_gap * k,
+        "max_gap": report.max_gap * k,
+        "mean_gap": report.mean_gap * k,
         "violation_count": report.violation_count,
         "samples": [
             {
                 "sample_index": r.sample_index,
                 "derived_seed": r.derived_seed,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "gap": r.gap,
+                "lhs": r.lhs * k,
+                "rhs": r.rhs * k,
+                "gap": r.gap * k,
             }
             for r in report.per_sample
             if r.error is None
@@ -148,17 +147,18 @@ def run_counterexample(dim: int, log_base: str) -> dict:
     s = canonical_counterexample(dim)
     product = product_decomposition(dim)
     entangled = entangled_decomposition(dim)
-    lhs = bn_lhs(s, log_base)
-    rhs_entangled = bn_rhs(entangled, log_base)
+    lhs = bn_lhs(s)
+    rhs_entangled = bn_rhs(entangled)
+    k = _unit(log_base)
     return {
         "command": "counterexample",
         "dim": dim,
         "log_base": log_base,
-        "lhs": lhs,
-        "rhs_product": bn_rhs(product, log_base),
-        "rhs_entangled": rhs_entangled,
-        "gap_entangled": lhs - rhs_entangled,
-        "theoretical_entangled_rhs": 2.0 * math.log(dim) * _log_scale(log_base),
+        "lhs": lhs * k,
+        "rhs_product": bn_rhs(product) * k,
+        "rhs_entangled": rhs_entangled * k,
+        "gap_entangled": (lhs - rhs_entangled) * k,
+        "theoretical_entangled_rhs": 2.0 * math.log(dim) * k,
         "residual_product": verify_decomposition(s.state, product),
         "residual_entangled": verify_decomposition(s.state, entangled),
     }
@@ -166,26 +166,25 @@ def run_counterexample(dim: int, log_base: str) -> dict:
 
 def run_deform(dim: int, eps: float, log_base: str) -> dict:
     state, dec = deformed_counterexample(dim, eps)
-    report = bn_gap(
-        state, dec, log_base, source="deformed", descriptor=f"deformed dim={dim} eps={eps}"
-    )
+    report = bn_gap(state, dec, source="deformed", descriptor=f"deformed dim={dim} eps={eps}")
     blocks = degenerate_blocks(dec.coefficients)
+    k = _unit(log_base)
     return {
         "command": "deform",
         "dim": dim,
         "eps": eps,
         "log_base": log_base,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
+        "lhs": report.lhs * k,
+        "rhs": report.rhs * k,
+        "gap": report.gap * k,
         "unique_spectrum": all(len(b) == 1 for b in blocks),
         "coefficients": [float(x) for x in dec.coefficients],
     }
 
 
-def run_scan(dim: int, samples: int, seed: int, log_base: str) -> ScanReport:
+def run_scan(dim: int, samples: int, seed: int) -> ScanReport:
     shape = FactorShape((dim, dim, dim, dim))
-    report = scan(samples, shape, seed, log_base)
+    report = scan(samples, shape, seed)
     if all(r.error is not None for r in report.per_sample):
         raise NumericalError("every sample in the scan failed")
     return report
@@ -196,20 +195,16 @@ def run_check(input_path: str, log_base: str, residual_tol: float) -> dict:
     s = FourFactorState(psi)
     dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
     report = bn_gap(
-        s,
-        dec,
-        log_base,
-        residual_tol=residual_tol,
-        source="svd",
-        descriptor=f"state file {input_path}",
+        s, dec, residual_tol=residual_tol, source="svd", descriptor=f"state file {input_path}"
     )
+    k = _unit(log_base)
     return {
         "command": "check",
         "input": input_path,
         "log_base": log_base,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
+        "lhs": report.lhs * k,
+        "rhs": report.rhs * k,
+        "gap": report.gap * k,
         "residual": verify_decomposition(psi, dec),
         "decomposition_source": report.decomposition_source,
         "coefficients": [float(x) for x in dec.coefficients],
@@ -233,8 +228,9 @@ def run_maximize(
         s = canonical_counterexample(dim)
         origin = f"canonical dim={dim}"
     # maximize_rhs first: it refuses an oversized search before any SVD.
-    dec, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed, log_base=log_base)
-    initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT), log_base)
+    dec, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed)
+    initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
+    k = _unit(log_base)
     return {
         "command": "maximize",
         "state": origin,
@@ -242,10 +238,10 @@ def run_maximize(
         "restarts": restarts,
         "sweeps": sweeps,
         "seed": seed,
-        "initial_rhs": initial_rhs,
-        "best_rhs": report.rhs,
-        "lhs": report.lhs,
-        "gap": report.gap,
+        "initial_rhs": initial_rhs * k,
+        "best_rhs": report.rhs * k,
+        "lhs": report.lhs * k,
+        "gap": report.gap * k,
         "blocks": [list(b) for b in degenerate_blocks(dec.coefficients)],
         "search": report.state_descriptor,
     }
@@ -317,11 +313,11 @@ def main(argv=None) -> int:
         elif args.command == "deform":
             doc = run_deform(args.dim, args.eps, args.log_base)
         elif args.command == "scan":
-            report = run_scan(args.dim, args.samples, args.seed, args.log_base)
+            report = run_scan(args.dim, args.samples, args.seed)
             if args.format == "csv":
-                _emit(_scan_csv(report), args.output)
+                _emit(_scan_csv(report, args.log_base), args.output)
             else:
-                _emit(json.dumps(_scan_doc(report), indent=2) + "\n", args.output)
+                _emit(json.dumps(_scan_doc(report, args.log_base), indent=2) + "\n", args.output)
             return 0
         elif args.command == "check":
             doc = run_check(args.input, args.log_base, args.tol)
@@ -335,7 +331,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    doc = {k: _sanitize(v) for k, v in doc.items()}
     if args.format == "csv":
         _emit(_scalar_csv(doc), args.output)
     else:

@@ -56,7 +56,7 @@ class FourFactorState:
 
 @dataclass(frozen=True, eq=False)
 class GapReport:
-    """One evaluation of the inequality: lhs, rhs, and gap = lhs - rhs.
+    """One evaluation of the inequality: lhs, rhs, and gap = lhs - rhs, in nats.
 
     ``gap < 0`` certifies a violation for the decomposition used.
     ``decomposition_source`` records where that decomposition came from
@@ -67,24 +67,23 @@ class GapReport:
     lhs: float
     rhs: float
     gap: float
-    log_base: str
     decomposition_source: str
     state_descriptor: str
 
 
-def bn_lhs(s: FourFactorState, log_base: str = "e") -> float:
-    """Entropy of Alice's marginal: S(tr_24 |psi><psi|).
+def bn_lhs(s: FourFactorState) -> float:
+    """Entropy of Alice's marginal, S(tr_24 |psi><psi|), in nats.
 
     For a pure state this is the entanglement entropy across
     {1,3} | {2,4}, read off the (d1*d3 x d2*d4) reshape of psi.
     """
     d1, d2, d3, d4 = s.state.shape.dims
     m = s.state.grid().transpose(0, 2, 1, 3).reshape(d1 * d3, d2 * d4)
-    return float(entanglement_entropy(m, log_base))
+    return float(entanglement_entropy(m))
 
 
-def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
-    """Right-hand side of the inequality for one Schmidt decomposition.
+def bn_rhs(dec: SchmidtDecomposition) -> float:
+    """Right-hand side of the inequality for one Schmidt decomposition, in nats.
 
     Each left vector lives on factors (1, 2) and contributes the entropy
     of its factor-1 marginal; each right vector lives on (3, 4) and
@@ -97,15 +96,14 @@ def bn_rhs(dec: SchmidtDecomposition, log_base: str = "e") -> float:
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
     d1, d2, d3, d4 = dec.shape.dims
-    s_left = entanglement_entropy(dec.left.T.reshape(-1, d1, d2), log_base)
-    s_right = entanglement_entropy(dec.right.T.reshape(-1, d3, d4), log_base)
+    s_left = entanglement_entropy(dec.left.T.reshape(-1, d1, d2))
+    s_right = entanglement_entropy(dec.right.T.reshape(-1, d3, d4))
     return float(dec.coefficients @ (s_left + s_right))
 
 
 def bn_gap(
     s: FourFactorState,
     dec: SchmidtDecomposition,
-    log_base: str = "e",
     residual_tol: float = RESIDUAL_TOL,
     source: str = "custom",
     descriptor: str = "",
@@ -124,16 +122,9 @@ def bn_gap(
             f"decomposition does not reproduce the state (worst violation "
             f"{score:.3e} > {residual_tol})"
         )
-    lhs = bn_lhs(s, log_base)
-    rhs = bn_rhs(dec, log_base)
-    return GapReport(
-        lhs=lhs,
-        rhs=rhs,
-        gap=lhs - rhs,
-        log_base=log_base,
-        decomposition_source=source,
-        state_descriptor=descriptor,
-    )
+    lhs = bn_lhs(s)
+    rhs = bn_rhs(dec)
+    return GapReport(lhs, rhs, lhs - rhs, source, descriptor)
 
 
 def _check_dim(d: int) -> int:
@@ -250,7 +241,7 @@ def deformed_counterexample(
 def _rhs_ascent(
     lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims: tuple[int, ...], mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """The rhs in nats of the (D x rank) columns ``left`` and ``right``, and
+    """The rhs of the (D x rank) columns ``left`` and ``right``, and
     its Riemannian gradient G for left -> left e^X, right -> right conj(e^X):
     d rhs = Re tr(G^H X) for skew-Hermitian X that vanish outside ``mask``."""
     d1, d2, d3, d4 = dims
@@ -267,7 +258,6 @@ def maximize_rhs(
     restarts: int = 20,
     sweeps: int = 2000,
     seed: int = 0,
-    log_base: str = "e",
 ) -> tuple[SchmidtDecomposition, GapReport]:
     """Search the Schmidt freedom of ``s`` for a large right-hand side.
 
@@ -309,7 +299,7 @@ def maximize_rhs(
     dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
     wide_blocks = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
     if not wide_blocks:
-        report = bn_gap(s, dec0, log_base, source="svd", descriptor="no degenerate freedom")
+        report = bn_gap(s, dec0, source="svd", descriptor="no degenerate freedom")
         return dec0, report
     lam = dec0.coefficients
     k = lam.size
@@ -361,5 +351,5 @@ def maximize_rhs(
 
     best_dec = replace(dec0, left=lmat, right=rmat)
     descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
-    report = bn_gap(s, best_dec, log_base, source="rotated", descriptor=descriptor)
+    report = bn_gap(s, best_dec, source="rotated", descriptor=descriptor)
     return best_dec, report

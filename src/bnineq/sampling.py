@@ -110,9 +110,7 @@ class ScanReport:
                 raise InputError("violation_count does not match the recorded rows")
 
 
-def scan(
-    n_samples: int, shape: FactorShape, master_seed: int, log_base: str = "e"
-) -> ScanReport:
+def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     """Evaluate the inequality on Haar-random states with SVD decompositions.
 
     Sample i uses the state ``haar_state(shape, derive_seed(master_seed,
@@ -144,8 +142,8 @@ def scan(
                 raise NumericalError(
                     f"decomposition verification score {score:.3e} > {SCAN_RESIDUAL_TOL}"
                 )
-            lhs = bn_lhs(FourFactorState(psi), log_base)
-            rhs = bn_rhs(dec, log_base)
+            lhs = bn_lhs(FourFactorState(psi))
+            rhs = bn_rhs(dec)
             rows.append(SampleRecord(i, sub_seed, lhs, rhs, lhs - rhs))
         except NumericalError as exc:
             rows.append(

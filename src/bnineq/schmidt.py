@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectra
 from .exceptions import InputError
-from .tensor import FactorShape, PureState, permute_factors
+from .tensor import FactorShape, PureState
 from .tolerances import BLOCK_TOL, MATRIX_ATOL, MAXIMALLY_MIXED_ATOL
 
 
@@ -66,8 +66,8 @@ def _check_split(shape: FactorShape, split: BipartiteSplit) -> None:
 
 def _arranged_matrix(psi: PureState, split: BipartiteSplit) -> np.ndarray:
     """The state as a (left-dim x right-dim) matrix in split order."""
-    arranged = permute_factors(psi, split.left + split.right)
-    return arranged.amplitudes.reshape(math.prod(_side_dims(psi.shape, split.left)), -1)
+    axes = [p - 1 for p in split.left + split.right]
+    return psi.grid().transpose(axes).reshape(math.prod(_side_dims(psi.shape, split.left)), -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,8 @@ with; the wrappers pin down ordering, validation, and error mapping.
 
 Every entropy of a pure vector goes through one kernel,
 :func:`entanglement_entropy`: the squared singular values of the vector
-reshaped to a matrix, then the clipped Shannon sum.
+reshaped to a matrix, then the clipped Shannon sum.  Every entropy is in
+nats; only the command line converts to bits.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ import numpy as np
 from .exceptions import InputError, NumericalError
 from .tensor import DensityMatrix
 from .tolerances import CLIP_TOL, MATRIX_ATOL
-
-LOG_BASES = ("e", "2")
-
-_LN2 = float(np.log(2.0))
-
-
-def _log_scale(log_base: str) -> float:
-    if log_base == "e":
-        return 1.0
-    if log_base == "2":
-        return 1.0 / _LN2
-    raise InputError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,21 +78,20 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.conj().T
 
 
-def _shannon(p: np.ndarray, log_base: str) -> np.ndarray:
-    """Clipped Shannon sum over the last axis of ``p`` (see
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Clipped Shannon sum in nats over the last axis of ``p`` (see
     :func:`entropy_from_eigenvalues` for the clipping policy)."""
-    scale = _log_scale(log_base)
     lowest = float(p.min()) if p.size else 0.0
     if lowest < -CLIP_TOL:
         raise NumericalError(
             f"eigenvalue {lowest:.3e} below -{CLIP_TOL}; refusing to clip it silently"
         )
     p = np.where(p > 0.0, p, 0.0)
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) * scale + 0.0
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0
 
 
-def entropy_from_eigenvalues(values, log_base: str = "e") -> float:
-    """Shannon entropy of a probability vector given as raw eigenvalues.
+def entropy_from_eigenvalues(values) -> float:
+    """Shannon entropy in nats of a probability vector given as raw eigenvalues.
 
     Applies the package clipping policy: values in ``[-CLIP_TOL, 0)``
     become 0, values below ``-CLIP_TOL`` raise :class:`NumericalError`
@@ -111,11 +99,11 @@ def entropy_from_eigenvalues(values, log_base: str = "e") -> float:
     contribute zero.
     """
     p = np.asarray(values, dtype=np.float64).reshape(-1)
-    return float(_shannon(p, log_base))
+    return float(_shannon(p))
 
 
-def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
-    """Entropy of pure vectors across a row | column cut.
+def entanglement_entropy(matrices) -> np.ndarray:
+    """Entropy in nats of pure vectors across a row | column cut.
 
     ``matrices`` is a stack (..., m, n) of unit vectors, each reshaped so
     that its rows index one side of the cut.  The squared singular values
@@ -126,11 +114,11 @@ def entanglement_entropy(matrices, log_base: str = "e") -> np.ndarray:
         s = np.linalg.svd(matrices, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return _shannon(s**2, log_base)
+    return _shannon(s**2)
 
 
 def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`entanglement_entropy` in nats together with its gradient.
+    """:func:`entanglement_entropy` together with its gradient.
 
     For each ``M = U diag(s) V^H`` in the stack the gradient is
     ``G = -2 U diag(s ln s^2) V^H``, so that ``dS = Re tr(G^H dM)`` for
@@ -144,16 +132,13 @@ def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     p = s**2
     weights = -2.0 * s * np.log(np.where(p > 0.0, p, 1.0))
-    return _shannon(p, "e"), (u * weights[..., None, :]) @ vh
+    return _shannon(p), (u * weights[..., None, :]) @ vh
 
 
-def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
-    """Von Neumann entropy -tr(rho log rho) of a density matrix.
-
-    ``log_base`` is "e" for nats (the package default) or "2" for bits.
-    """
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy -tr(rho ln rho) of a density matrix, in nats."""
     try:
         w = np.linalg.eigvalsh(rho.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    return entropy_from_eigenvalues(w, log_base)
+    return entropy_from_eigenvalues(w)

@@ -55,8 +55,8 @@ RESIDUAL_TOL = 1e-8
 #: Scanned decompositions must verify at least this well to be recorded.
 SCAN_RESIDUAL_TOL = 1e-9
 
-#: A scanned sample counts as a violation when its gap is below this,
-#: which keeps roundoff around a zero gap from counting.
+#: A scanned sample counts as a violation when its gap in nats is below
+#: this, which keeps roundoff around a zero gap from counting.
 VIOLATION_THRESHOLD = -1e-9
 
 #: maximize_rhs ends its ascent as converged once the norm of the

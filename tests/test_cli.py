@@ -207,6 +207,81 @@ def test_scan_json_and_csv_agree_exactly(capsys):
     assert float(aggregates["mean_gap"]) == doc["mean_gap"]
 
 
+# ------------------------------------------------------------ unit boundary
+
+LN2 = 0.6931471805599453
+
+#: Report fields that hold an entropy; ``--log-base 2`` rescales exactly these.
+ENTROPY_FIELDS = {
+    "lhs", "rhs", "gap", "rhs_product", "rhs_entangled", "gap_entangled",
+    "theoretical_entangled_rhs", "initial_rhs", "best_rhs", "min_gap", "max_gap", "mean_gap",
+}
+
+
+def assert_bits_match_nats(nats, bits, key=None):
+    """Entropy fields in bits are the nats fields over ln 2; all else is equal."""
+    if isinstance(nats, dict):
+        assert nats.keys() == bits.keys()
+        for k in nats.keys() - {"log_base"}:
+            assert_bits_match_nats(nats[k], bits[k], k)
+    elif isinstance(nats, list):
+        assert len(nats) == len(bits)
+        for a, b in zip(nats, bits):
+            assert_bits_match_nats(a, b, key)
+    elif key in ENTROPY_FIELDS:
+        assert abs(bits - nats / LN2) <= 1e-15, key
+    else:
+        assert bits == nats, key
+
+
+def scan_csv_fields(text):
+    """A scan CSV as {"header": {key: value}, "rows": [{column: value}]},
+    with the entropy fields parsed as floats and the rest kept as text."""
+    lines = text.strip().split("\n")
+    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    rows = [dict(zip(body[0], cells)) for cells in body[1:]]
+    for fields in [header, *rows]:
+        for k in fields.keys() & ENTROPY_FIELDS:
+            fields[k] = float(fields[k])
+    return {"header": header, "rows": rows}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--dim", "3"],
+        ["deform", "--dim", "2", "--eps", "0.1"],
+        ["scan", "--dim", "2", "--samples", "40", "--seed", "7"],
+        ["check", "--input", "STATE"],
+        ["maximize", "--dim", "2"],
+        ["maximize", "--input", "STATE"],
+    ],
+)
+def test_log_base_two_rescales_only_the_entropy_fields(capsys, tmp_path, argv):
+    path = tmp_path / "state.json"
+    save_state(haar_state(FactorShape((2, 3, 2, 3)), 5), path)
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    _, nats = run_json(capsys, argv)
+    code, bits = run_json(capsys, argv + ["--log-base", "2"])
+    assert code == 0
+    if "log_base" in nats:
+        assert (nats["log_base"], bits["log_base"]) == ("e", "2")
+    assert ENTROPY_FIELDS & nats.keys()
+    assert_bits_match_nats(nats, bits)
+
+
+def test_log_base_two_rescales_only_the_entropy_columns_of_a_scan_csv(capsys):
+    argv = ["scan", "--dim", "2", "--samples", "40", "--seed", "7", "--format", "csv"]
+    _, nats = run(capsys, argv)
+    code, bits = run(capsys, argv + ["--log-base", "2"])
+    assert code == 0
+    nats, bits = scan_csv_fields(nats), scan_csv_fields(bits)
+    assert int(nats["header"]["violation_count"]) > 0
+    assert len(bits["rows"]) == 40
+    assert_bits_match_nats(nats, bits)
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -276,4 +351,7 @@ def test_argparse_rejects_unknown_flags():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["counterexample"])  # --dim is required
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["counterexample", "--dim", "2", "--log-base", "10"])
     assert err.value.code == 2

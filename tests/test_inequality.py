@@ -185,10 +185,6 @@ def test_rhs_of_entangled_decomposition():
     assert abs(bn_rhs(entangled_decomposition(3)) - TWO_LN_THREE) < 1e-9
 
 
-def test_rhs_base_two():
-    assert abs(bn_rhs(entangled_decomposition(2), log_base="2") - 2.0) < 1e-9
-
-
 def test_rhs_rejects_other_splits():
     from bnineq import BipartiteSplit
 

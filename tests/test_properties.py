@@ -87,3 +87,14 @@ def test_phases_on_single_coefficient_blocks_leave_the_rhs_unchanged(seed, dims)
         if len(block) == 1:
             rotated = rotate_block(rotated, block, phases[block[0]] * np.eye(1))
     assert abs(bn_rhs(rotated) - bn_rhs(dec)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([2, 3, 4]))
+def test_the_canonical_state_is_the_same_in_every_basis(seed, d):
+    # (1/d) sum_a Phi_a (x) conj(Phi_a) over any orthonormal basis {Phi_a}
+    # of C^d (x) C^d is the canonical state: it is the vectorised identity.
+    u = haar_unitary(d * d, seed)
+    rebuilt = sum(np.kron(u[:, a], np.conj(u[:, a])) for a in range(d * d)) / d
+    target = canonical_counterexample(d).state.amplitudes
+    assert np.linalg.norm(rebuilt - target) <= 1e-10

@@ -17,7 +17,6 @@ from bnineq import (
 
 # Frozen by direct evaluation of -sum(p ln p) for p = (3/4, 1/4).
 ENTROPY_3Q = 0.5623351446188083
-LN2 = 0.6931471805599453
 
 
 def random_hermitian(n, rng):
@@ -120,17 +119,6 @@ def test_entropy_frozen_value():
     # and computed the slow way, as a cross-check of the frozen constant
     direct = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
     assert abs(direct - ENTROPY_3Q) < 1e-15
-
-
-def test_entropy_base_two():
-    assert abs(von_neumann_entropy(one_factor_density([0.5, 0.5]), log_base="2") - 1.0) < 1e-12
-    got = von_neumann_entropy(one_factor_density([0.75, 0.25]), log_base="2")
-    assert abs(got - ENTROPY_3Q / LN2) < 1e-12
-
-
-def test_entropy_rejects_unknown_base():
-    with pytest.raises(InputError):
-        von_neumann_entropy(one_factor_density([0.5, 0.5]), log_base="10")
 
 
 def test_entropy_clipping_policy():
