@@ -29,6 +29,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
@@ -42,7 +44,7 @@ from .inequality import (
     maximize_rhs,
     product_decomposition,
 )
-from .sampling import ScanReport, scan
+from .sampling import derive_seed, scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
 from .tensor import FactorShape, load_state
 from .tolerances import RESIDUAL_TOL
@@ -53,9 +55,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _unit(log_base: str) -> float:
-    """Factor that turns nats into the unit of ``--log-base``."""
-    return 1.0 if log_base == "e" else 1.0 / math.log(2.0)
+#: The entropy fields of each command's report, in nats until ``--log-base
+#: 2`` multiplies them by 1/ln 2, in the report and in the rows of its lists.
+_ENTROPY_KEYS = {
+    "counterexample": {
+        "lhs", "rhs_product", "rhs_entangled", "gap_entangled", "theoretical_entangled_rhs",
+    },
+    "deform": {"lhs", "rhs", "gap"},
+    "scan": {"lhs", "rhs", "gap", "min_gap", "max_gap", "mean_gap"},
+    "check": {"lhs", "rhs", "gap"},
+    "maximize": {"initial_rhs", "best_rhs", "lhs", "gap"},
+}
+
+
+def _rescale(doc: dict, keys: set, factor: float) -> None:
+    """Multiply the fields of ``doc`` named in ``keys`` by ``factor``, in place."""
+    for key, value in doc.items():
+        if key in keys:
+            doc[key] = value * factor
+        elif isinstance(value, list):
+            for row in value:
+                if isinstance(row, dict):
+                    _rescale(row, keys, factor)
 
 
 def _csv_cell(value) -> str:
@@ -82,65 +103,15 @@ def _scalar_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_csv(report: ScanReport, log_base: str) -> str:
-    k = _unit(log_base)
-    lines = [
-        f"# n_samples={report.n_samples}",
-        f"# shape={'x'.join(str(d) for d in report.shape.dims)}",
-        f"# master_seed={report.master_seed}",
-        f"# min_gap={_fmt(report.min_gap * k)}",
-        f"# max_gap={_fmt(report.max_gap * k)}",
-        f"# mean_gap={_fmt(report.mean_gap * k)}",
-        f"# violation_count={report.violation_count}",
-        "sample_index,derived_seed,lhs,rhs,gap",
-    ]
-    for row in report.per_sample:
-        if row.error is None:
-            lines.append(
-                f"{row.sample_index},{row.derived_seed},"
-                f"{_fmt(row.lhs * k)},{_fmt(row.rhs * k)},{_fmt(row.gap * k)}"
-            )
-    for row in report.per_sample:
-        if row.error is not None:
-            lines.append(
-                f"# error sample_index={row.sample_index} "
-                f"derived_seed={row.derived_seed} message={row.error}"
-            )
+def _scan_csv(doc: dict) -> str:
+    header = {**doc, "shape": "x".join(str(d) for d in doc["shape"])}
+    skip = ("command", "samples", "errors")
+    lines = [f"# {key}={_csv_cell(value)}" for key, value in header.items() if key not in skip]
+    columns = ("sample_index", "derived_seed", "lhs", "rhs", "gap")
+    lines.append(",".join(columns))
+    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in doc["samples"]]
+    lines += ["# error " + " ".join(f"{k}={v}" for k, v in row.items()) for row in doc["errors"]]
     return "\n".join(lines) + "\n"
-
-
-def _scan_doc(report: ScanReport, log_base: str) -> dict:
-    k = _unit(log_base)
-    return {
-        "command": "scan",
-        "n_samples": report.n_samples,
-        "shape": list(report.shape.dims),
-        "master_seed": report.master_seed,
-        "min_gap": report.min_gap * k,
-        "max_gap": report.max_gap * k,
-        "mean_gap": report.mean_gap * k,
-        "violation_count": report.violation_count,
-        "samples": [
-            {
-                "sample_index": r.sample_index,
-                "derived_seed": r.derived_seed,
-                "lhs": r.lhs * k,
-                "rhs": r.rhs * k,
-                "gap": r.gap * k,
-            }
-            for r in report.per_sample
-            if r.error is None
-        ],
-        "errors": [
-            {
-                "sample_index": r.sample_index,
-                "derived_seed": r.derived_seed,
-                "message": r.error,
-            }
-            for r in report.per_sample
-            if r.error is not None
-        ],
-    }
 
 
 def run_counterexample(dim: int, log_base: str) -> dict:
@@ -149,16 +120,15 @@ def run_counterexample(dim: int, log_base: str) -> dict:
     entangled = entangled_decomposition(dim)
     lhs = bn_lhs(s)
     rhs_entangled = bn_rhs(entangled)
-    k = _unit(log_base)
     return {
         "command": "counterexample",
         "dim": dim,
         "log_base": log_base,
-        "lhs": lhs * k,
-        "rhs_product": bn_rhs(product) * k,
-        "rhs_entangled": rhs_entangled * k,
-        "gap_entangled": (lhs - rhs_entangled) * k,
-        "theoretical_entangled_rhs": 2.0 * math.log(dim) * k,
+        "lhs": lhs,
+        "rhs_product": bn_rhs(product),
+        "rhs_entangled": rhs_entangled,
+        "gap_entangled": lhs - rhs_entangled,
+        "theoretical_entangled_rhs": 2.0 * math.log(dim),
         "residual_product": verify_decomposition(s.state, product),
         "residual_entangled": verify_decomposition(s.state, entangled),
     }
@@ -168,26 +138,43 @@ def run_deform(dim: int, eps: float, log_base: str) -> dict:
     state, dec = deformed_counterexample(dim, eps)
     report = bn_gap(state, dec, source="deformed", descriptor=f"deformed dim={dim} eps={eps}")
     blocks = degenerate_blocks(dec.coefficients)
-    k = _unit(log_base)
     return {
         "command": "deform",
         "dim": dim,
         "eps": eps,
         "log_base": log_base,
-        "lhs": report.lhs * k,
-        "rhs": report.rhs * k,
-        "gap": report.gap * k,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "gap": report.gap,
         "unique_spectrum": all(len(b) == 1 for b in blocks),
         "coefficients": [float(x) for x in dec.coefficients],
     }
 
 
-def run_scan(dim: int, samples: int, seed: int) -> ScanReport:
-    shape = FactorShape((dim, dim, dim, dim))
-    report = scan(samples, shape, seed)
-    if all(r.error is not None for r in report.per_sample):
+def run_scan(dim: int, samples: int, seed: int) -> dict:
+    report = scan(samples, FactorShape((dim, dim, dim, dim)), seed)
+    if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
-    return report
+    ok = np.delete(np.arange(report.n_samples), list(report.errors))
+    values = zip(ok.tolist(), *(a[ok].tolist() for a in (report.lhs, report.rhs, report.gap)))
+    return {
+        "command": "scan",
+        "n_samples": report.n_samples,
+        "shape": list(report.shape.dims),
+        "master_seed": report.master_seed,
+        "min_gap": report.min_gap,
+        "max_gap": report.max_gap,
+        "mean_gap": report.mean_gap,
+        "violation_count": report.violation_count,
+        "samples": [
+            {"sample_index": i, "derived_seed": derive_seed(seed, i), "lhs": a, "rhs": b, "gap": g}
+            for i, a, b, g in values
+        ],
+        "errors": [
+            {"sample_index": i, "derived_seed": derive_seed(seed, i), "message": message}
+            for i, message in report.errors.items()
+        ],
+    }
 
 
 def run_check(input_path: str, log_base: str, residual_tol: float) -> dict:
@@ -197,14 +184,13 @@ def run_check(input_path: str, log_base: str, residual_tol: float) -> dict:
     report = bn_gap(
         s, dec, residual_tol=residual_tol, source="svd", descriptor=f"state file {input_path}"
     )
-    k = _unit(log_base)
     return {
         "command": "check",
         "input": input_path,
         "log_base": log_base,
-        "lhs": report.lhs * k,
-        "rhs": report.rhs * k,
-        "gap": report.gap * k,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "gap": report.gap,
         "residual": verify_decomposition(psi, dec),
         "decomposition_source": report.decomposition_source,
         "coefficients": [float(x) for x in dec.coefficients],
@@ -230,7 +216,6 @@ def run_maximize(
     # maximize_rhs first: it refuses an oversized search before any SVD.
     dec, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed)
     initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
-    k = _unit(log_base)
     return {
         "command": "maximize",
         "state": origin,
@@ -238,10 +223,10 @@ def run_maximize(
         "restarts": restarts,
         "sweeps": sweeps,
         "seed": seed,
-        "initial_rhs": initial_rhs * k,
-        "best_rhs": report.rhs * k,
-        "lhs": report.lhs * k,
-        "gap": report.gap * k,
+        "initial_rhs": initial_rhs,
+        "best_rhs": report.rhs,
+        "lhs": report.lhs,
+        "gap": report.gap,
         "blocks": [list(b) for b in degenerate_blocks(dec.coefficients)],
         "search": report.state_descriptor,
     }
@@ -313,12 +298,7 @@ def main(argv=None) -> int:
         elif args.command == "deform":
             doc = run_deform(args.dim, args.eps, args.log_base)
         elif args.command == "scan":
-            report = run_scan(args.dim, args.samples, args.seed)
-            if args.format == "csv":
-                _emit(_scan_csv(report, args.log_base), args.output)
-            else:
-                _emit(json.dumps(_scan_doc(report, args.log_base), indent=2) + "\n", args.output)
-            return 0
+            doc = run_scan(args.dim, args.samples, args.seed)
         elif args.command == "check":
             doc = run_check(args.input, args.log_base, args.tol)
         else:
@@ -331,10 +311,12 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.format == "csv":
-        _emit(_scalar_csv(doc), args.output)
-    else:
+    if args.log_base == "2":
+        _rescale(doc, _ENTROPY_KEYS[args.command], 1.0 / math.log(2.0))
+    if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    else:
+        _emit(_scan_csv(doc) if args.command == "scan" else _scalar_csv(doc), args.output)
     return 0
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .exceptions import InputError
 from .schmidt import (
     BipartiteSplit,
+    _arranged,
     SchmidtDecomposition,
     decomposition_from_basis,
     degenerate_blocks,
@@ -71,15 +72,29 @@ class GapReport:
     state_descriptor: str
 
 
+def _lhs(amps: np.ndarray, shape: FactorShape) -> np.ndarray:
+    """:func:`bn_lhs` of each state in a stack (n, D) of amplitude vectors."""
+    return entanglement_entropy(_arranged(amps, shape, BipartiteSplit((1, 3), (2, 4))))
+
+
+def _rhs(lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
+    """:func:`bn_rhs` of each decomposition in a stack: coefficients
+    (n, k), left vectors (n, d1*d2, k) and right vectors (n, d3*d4, k)."""
+    n, k = lam.shape
+    d1, d2, d3, d4 = dims
+    s_left = entanglement_entropy(left.swapaxes(-1, -2).reshape(n, k, d1, d2))
+    s_right = entanglement_entropy(right.swapaxes(-1, -2).reshape(n, k, d3, d4))
+    # One dot product per row through matmul, which sums as ``lam @ s`` does.
+    return (lam[:, None, :] @ (s_left + s_right)[:, :, None])[:, 0, 0]
+
+
 def bn_lhs(s: FourFactorState) -> float:
     """Entropy of Alice's marginal, S(tr_24 |psi><psi|), in nats.
 
     For a pure state this is the entanglement entropy across
     {1,3} | {2,4}, read off the (d1*d3 x d2*d4) reshape of psi.
     """
-    d1, d2, d3, d4 = s.state.shape.dims
-    m = s.state.grid().transpose(0, 2, 1, 3).reshape(d1 * d3, d2 * d4)
-    return float(entanglement_entropy(m))
+    return float(_lhs(s.state.amplitudes[None], s.state.shape)[0])
 
 
 def bn_rhs(dec: SchmidtDecomposition) -> float:
@@ -95,10 +110,7 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
             f"the inequality is stated for the split {ADDITIVITY_SPLIT.left} | "
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
-    d1, d2, d3, d4 = dec.shape.dims
-    s_left = entanglement_entropy(dec.left.T.reshape(-1, d1, d2))
-    s_right = entanglement_entropy(dec.right.T.reshape(-1, d3, d4))
-    return float(dec.coefficients @ (s_left + s_right))
+    return float(_rhs(dec.coefficients[None], dec.left[None], dec.right[None], dec.shape.dims)[0])
 
 
 def bn_gap(

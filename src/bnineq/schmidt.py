@@ -64,10 +64,11 @@ def _check_split(shape: FactorShape, split: BipartiteSplit) -> None:
         )
 
 
-def _arranged_matrix(psi: PureState, split: BipartiteSplit) -> np.ndarray:
-    """The state as a (left-dim x right-dim) matrix in split order."""
-    axes = [p - 1 for p in split.left + split.right]
-    return psi.grid().transpose(axes).reshape(math.prod(_side_dims(psi.shape, split.left)), -1)
+def _arranged(amps: np.ndarray, shape: FactorShape, split: BipartiteSplit) -> np.ndarray:
+    """A stack (n, D) of amplitude vectors of ``shape`` as (n, D_L, D_R)
+    matrices, the factors of each side taken in split order."""
+    grids = amps.reshape(-1, *shape.dims).transpose([0, *split.left, *split.right])
+    return grids.reshape(len(amps), math.prod(_side_dims(shape, split.left)), -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +128,16 @@ class SchmidtDecomposition:
         return int(self.coefficients.size)
 
 
+def _schmidt_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt forms of a stack (n, D_L, D_R) of state matrices: coefficients
+    (n, k), left (n, D_L, k) and right (n, D_R, k) vectors, k = min(D_L, D_R).
+    Coefficients past the numerical rank (see :func:`schmidt_decompose`)
+    are 0; the kept ones exceed eps**2, so a count of nonzeros is the rank."""
+    u, s, v = spectra.svd(m)
+    keep = s > s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps
+    return np.where(keep, s**2, 0.0), u, np.conj(v)
+
+
 def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across ``split`` via SVD.
 
@@ -139,23 +150,32 @@ def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposi
     identity, i.e. they are the conjugated right-singular vectors.
     """
     _check_split(psi.shape, split)
-    m = _arranged_matrix(psi, split)
-    u, s, v = spectra.svd(m)
-    rank = int(np.count_nonzero(s > s[0] * max(m.shape) * np.finfo(np.float64).eps))
-    lam = s[:rank] ** 2
-    return SchmidtDecomposition(split, lam, u[:, :rank], np.conj(v[:, :rank]), psi.shape)
+    lam, left, right = _schmidt_stack(_arranged(psi.amplitudes[None], psi.shape, split))
+    k = int(np.count_nonzero(lam[0]))
+    return SchmidtDecomposition(split, lam[0, :k], left[0, :, :k], right[0, :, :k], psi.shape)
 
 
-def _family_violation(vectors_matrix: np.ndarray) -> float:
-    """Worst orthonormality defect of a family of column vectors: the
-    largest of |norm - 1| per column and |<v_i, v_j>| for i != j."""
-    gram = vectors_matrix.conj().T @ vectors_matrix
-    norms = np.sqrt(np.abs(np.diag(gram).real))
-    worst = float(np.max(np.abs(norms - 1.0)))
-    off = gram - np.diag(np.diag(gram))
-    if off.size:
-        worst = max(worst, float(np.max(np.abs(off))))
-    return worst
+def _family_violation(vectors: np.ndarray) -> np.ndarray:
+    """Worst orthonormality defect of each family in a stack (n, D, k) of
+    column vectors: the largest of |norm - 1| per column and |<v_i, v_j>|
+    for i != j."""
+    gram = vectors.conj().swapaxes(-1, -2) @ vectors
+    norms = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1).real))
+    off = np.where(np.eye(gram.shape[-1], dtype=bool), 0.0, np.abs(gram))
+    return np.maximum(np.abs(norms - 1.0).max(axis=-1), off.max(axis=(-2, -1)))
+
+
+def _verify_stack(target, lam, left, right) -> np.ndarray:
+    """:func:`verify_decomposition` scores of a stack of decompositions:
+    state matrices (n, D_L, D_R), coefficients (n, k), vectors (n, D_L, k)
+    and (n, D_R, k)."""
+    rec = (left * np.sqrt(lam)[:, None, :]) @ right.swapaxes(-1, -2)
+    diff = (target - rec).reshape(len(target), 1, -1)
+    # Row-wise dot products through matmul sum as numpy.linalg.norm does.
+    re, im = diff.real, diff.imag
+    residual = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+    defects = (_family_violation(left), _family_violation(right), np.abs(lam.sum(axis=-1) - 1.0))
+    return np.max([residual, *defects], axis=0)
 
 
 def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
@@ -172,12 +192,8 @@ def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
             f"decomposition of a state with dims {dec.shape.dims} does not match "
             f"a state with dims {psi.shape.dims}"
         )
-    rec = (dec.left * np.sqrt(dec.coefficients)) @ dec.right.T
-    target = _arranged_matrix(psi, dec.split)
-    residual = float(np.linalg.norm(target - rec))
-    worst = max(residual, _family_violation(dec.left), _family_violation(dec.right))
-    worst = max(worst, abs(float(dec.coefficients.sum()) - 1.0))
-    return worst
+    target = _arranged(psi.amplitudes[None], psi.shape, dec.split)
+    return float(_verify_stack(target, dec.coefficients[None], dec.left[None], dec.right[None])[0])
 
 
 def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
@@ -263,7 +279,7 @@ def decomposition_from_basis(
     ortho_dev = float(np.max(np.abs(bmat.conj().T @ bmat - np.eye(d_left))))
     if ortho_dev > MATRIX_ATOL:
         raise InputError(f"basis deviates from orthonormal by {ortho_dev:.3e}")
-    m = _arranged_matrix(psi, split)
+    m = _arranged(psi.amplitudes[None], psi.shape, split)[0]
     mixed_dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d_left) / d_left)))
     if mixed_dev > MAXIMALLY_MIXED_ATOL:
         raise InputError(

@@ -66,16 +66,17 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``m = u @ diag(s) @ v.conj().T``.
 
     ``s`` is descending; ``u`` and ``v`` have orthonormal columns.  Works
-    for any (rectangular) complex matrix.
+    for any (rectangular) complex matrix, and for a stack (..., m, n) of
+    them, one decomposition per matrix.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise InputError(f"expected a matrix, got array of shape {a.shape}")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return u, s, vh.conj().T
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:

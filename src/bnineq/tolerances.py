@@ -55,6 +55,10 @@ RESIDUAL_TOL = 1e-8
 #: Scanned decompositions must verify at least this well to be recorded.
 SCAN_RESIDUAL_TOL = 1e-9
 
+#: scan evaluates its samples in stacks of at most this many amplitudes
+#: (a 1 MiB complex array), so its working memory is bounded.
+SCAN_CHUNK_ELEMENTS = 2**16
+
 #: A scanned sample counts as a violation when its gap in nats is below
 #: this, which keeps roundoff around a zero gap from counting.
 VIOLATION_THRESHOLD = -1e-9

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+import bnineq
 from bnineq import (
     FactorShape,
+    NumericalError,
     PureState,
     canonical_counterexample,
     deformed_counterexample,
@@ -343,6 +345,18 @@ def test_maximize_accepts_dim_5_at_the_default_budget(capsys):
     code, doc = run_json(capsys, ["maximize", "--dim", "5"])
     assert code == 0
     assert re.fullmatch(r"restarts=20 sweeps_used=\d+/2000 stop=(converged|budget)", doc["search"])
+
+
+def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
+    def failing_svd(m):
+        raise NumericalError("SVD failed to converge: injected")
+
+    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+    code = main(["scan", "--dim", "2", "--samples", "4", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "every sample in the scan failed" in captured.err
 
 
 def test_argparse_rejects_unknown_flags():

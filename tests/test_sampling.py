@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import bnineq
 from bnineq import (
     ADDITIVITY_SPLIT,
     FactorShape,
     FourFactorState,
     InputError,
+    NumericalError,
     bn_gap,
     derive_seed,
     haar_state,
@@ -13,6 +15,7 @@ from bnineq import (
     scan,
     schmidt_decompose,
 )
+from bnineq.tolerances import SCAN_CHUNK_ELEMENTS
 
 Q4 = FactorShape((2, 2, 2, 2))
 
@@ -106,15 +109,48 @@ def test_haar_unitary_entry_statistics():
 
 
 def test_scan_single_sample_matches_direct_evaluation():
-    report = scan(1, Q4, 7)
-    row = report.per_sample[0]
-    assert row.sample_index == 0
-    assert row.derived_seed == derive_seed(7, 0)
-    psi = haar_state(Q4, row.derived_seed)
-    direct = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
-    assert row.lhs == direct.lhs
-    assert row.rhs == direct.rhs
-    assert row.gap == direct.gap
+    # The batched scan runs the kernels of bn_lhs, bn_rhs and bn_gap, so
+    # every row equals the direct evaluation exactly.  The last case holds
+    # one sample more than a stack, so the scan evaluates two stacks.
+    cases = [((2, 2, 2, 2), 1), ((2, 2, 2, 2), 6), ((2, 3, 2, 3), 6), ((3, 2, 3, 2), 6)]
+    cases += [((2, 3, 4, 2), 6), ((4, 4, 4, 4), SCAN_CHUNK_ELEMENTS // 4**4 + 1)]
+    for dims, n_samples in cases:
+        shape = FactorShape(dims)
+        report = scan(n_samples, shape, 7)
+        assert report.errors == {}
+        rows = report.per_sample
+        assert [row.sample_index for row in rows] == list(range(n_samples))
+        for row in rows:
+            assert row.derived_seed == derive_seed(7, row.sample_index)
+            psi = haar_state(shape, row.derived_seed)
+            direct = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
+            assert row.lhs == direct.lhs, (dims, row.sample_index)
+            assert row.rhs == direct.rhs, (dims, row.sample_index)
+            assert row.gap == direct.gap, (dims, row.sample_index)
+
+
+def test_scan_isolates_a_failing_sample_in_its_stack(monkeypatch):
+    clean = scan(20, Q4, 3)
+    bad = haar_state(Q4, derive_seed(3, 7)).amplitudes
+    svd = bnineq.spectra.svd
+
+    def failing_svd(m):
+        if any(np.array_equal(row, bad) for row in np.reshape(m, (-1, bad.size))):
+            raise NumericalError("SVD failed to converge: injected")
+        return svd(m)
+
+    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+    report = scan(20, Q4, 3)
+    assert report.errors == {7: "SVD failed to converge: injected"}
+    assert [r.error is None for r in report.per_sample] == [i != 7 for i in range(20)]
+    assert np.isnan(report.gap[7]) and np.isnan(report.lhs[7]) and np.isnan(report.rhs[7])
+    keep = np.arange(20) != 7
+    for name in ("lhs", "rhs", "gap"):
+        assert np.array_equal(getattr(report, name)[keep], getattr(clean, name)[keep])
+    gaps = clean.gap[keep]
+    assert (report.min_gap, report.max_gap) == (gaps.min(), gaps.max())
+    assert report.mean_gap == np.mean(gaps)
+    assert report.violation_count == np.count_nonzero(gaps < -1e-9)
 
 
 def test_scan_is_reproducible():
