@@ -35,7 +35,7 @@ from .schmidt import (
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
 from .tensor import FactorShape, PureState, flatten_index
-from .tolerances import GRAD_TOL, MAX_SEARCH_WORK, RESIDUAL_TOL
+from .tolerances import GRAD_TOL, MAX_SEARCH_WORK, RESIDUAL_TOL, STACK_ELEMENTS
 
 #: The bipartition across which Schmidt decompositions are taken.
 ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
@@ -265,72 +265,15 @@ def _rhs_ascent(
     return float(lam @ (s_left + s_right)), np.where(mask, 0.5 * (e - e.conj().T), 0.0)
 
 
-def maximize_rhs(
-    s: FourFactorState,
-    restarts: int = 20,
-    sweeps: int = 2000,
-    seed: int = 0,
-) -> tuple[SchmidtDecomposition, GapReport]:
-    """Search the Schmidt freedom of ``s`` for a large right-hand side.
-
-    Starts from the SVD decomposition across the {1,2} | {3,4} split and
-    explores the unitary freedom W of its degenerate coefficient blocks:
-    left vectors become L W and right vectors R conj(W), with W
-    block-diagonal over the blocks.  ``restarts`` Haar-random block
-    unitaries seed the search (the best start wins, ties to the lowest
-    index).  A Riemannian gradient ascent on W then refines it.  Each
-    ascent step, at most ``sweeps`` of them, moves along the gradient by a
-    Cayley retraction; the step length is Barzilai-Borwein, halved until
-    the step ascends by the Armijo rule.  The ascent stops as "converged"
-    when the gradient norm is at most ``GRAD_TOL`` or when no step ascends,
-    and as "budget" when all ``sweeps`` steps are used.  "converged" means
-    a stationary point, not a certified maximum: on the canonical family
-    the SVD start is a product basis where the gradient vanishes, so
-    ``restarts=0`` stops there at rhs 0.
-
-    Every accepted step ascends, so the result is never worse than the
-    SVD start.  States with no degenerate block have no freedom and come
-    back unchanged.  The report's source tag is "rotated" when any freedom
-    was explored and "svd" otherwise; its descriptor records the steps
-    used and the stop reason.  A search whose estimated work exceeds
-    ``MAX_SEARCH_WORK`` raises :class:`InputError` before it starts.
-    """
-    from .sampling import derive_seed, haar_unitary
-
-    restarts, sweeps = int(restarts), int(sweeps)
-    if restarts < 0 or sweeps < 0:
-        raise InputError("restarts and sweeps must be nonnegative")
-    dims = s.state.shape.dims
-    d1, d2, d3, d4 = dims
-    work = (restarts + sweeps) * min(d1 * d2, d3 * d4) ** 2 * (d1 * d2 + d3 * d4)
-    if work > MAX_SEARCH_WORK:
-        raise InputError(
-            f"maximize on dims {dims} with {restarts} restarts and {sweeps} sweeps exceeds the "
-            f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
-        )
-    dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
-    wide_blocks = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
-    if not wide_blocks:
-        report = bn_gap(s, dec0, source="svd", descriptor="no degenerate freedom")
-        return dec0, report
-    lam = dec0.coefficients
-    k = lam.size
-    mask = np.zeros((k, k), dtype=bool)
-    for b in wide_blocks:
-        mask[np.ix_(b, b)] = True
-
-    lmat, rmat = dec0.left, dec0.right
+def _ascend(
+    lam: np.ndarray, lmat: np.ndarray, rmat: np.ndarray, dims: tuple[int, ...], mask: np.ndarray,
+    sweeps: int,
+) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """The Riemannian gradient ascent of :func:`maximize_rhs` from the
+    columns ``lmat`` and ``rmat``: the final columns, the steps used and
+    the stop reason ("converged" or "budget")."""
     value, grad = _rhs_ascent(lam, lmat, rmat, dims, mask)
-    for r in range(restarts):
-        w = np.eye(k, dtype=np.complex128)
-        for bi, b in enumerate(wide_blocks):
-            w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide_blocks) + bi))
-        trial = (dec0.left @ w, dec0.right @ np.conj(w))
-        t_value, t_grad = _rhs_ascent(lam, *trial, dims, mask)
-        if t_value > value + 1e-15:
-            (lmat, rmat), value, grad = trial, t_value, t_grad
-
-    eye = np.eye(k)
+    eye = np.eye(lam.size)
     step, used, stop = 1.0, 0, "converged"
     while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
         if used == sweeps:
@@ -360,7 +303,89 @@ def maximize_rhs(
             step = curvature / float(np.vdot(y_vec, y_vec).real)
         step = min(step, 1e20)  # keeps the backtracking loop finite
         (lmat, rmat), value, grad = trial, t_value, t_grad
+    return lmat, rmat, used, stop
 
+
+def maximize_rhs(
+    s: FourFactorState,
+    restarts: int = 20,
+    sweeps: int = 2000,
+    seed: int = 0,
+) -> tuple[SchmidtDecomposition, GapReport]:
+    """Search the Schmidt freedom of ``s`` for a large right-hand side.
+
+    Starts from the SVD decomposition across the {1,2} | {3,4} split and
+    explores the unitary freedom W of its degenerate coefficient blocks:
+    left vectors become L W and right vectors R conj(W), with W
+    block-diagonal over the blocks.  ``restarts`` Haar-random block
+    unitaries seed the search.  The SVD start and the restarts are scored
+    together, by value only, as stacks of at most ``STACK_ELEMENTS``
+    entries; the best start wins, ties to the lowest index.  A Riemannian
+    gradient ascent on W then refines the winner, the only start whose
+    gradient is computed.  Each ascent step, at most ``sweeps`` of them,
+    moves along the gradient by a Cayley retraction; the step length is
+    Barzilai-Borwein, halved until the step ascends by the Armijo rule.
+    The ascent stops as "converged" when the gradient norm is at most
+    ``GRAD_TOL`` or when no step ascends, and as "budget" when all
+    ``sweeps`` steps are used.  "converged" means a stationary point, not
+    a certified maximum: on the canonical family the SVD start is a
+    product basis where the gradient vanishes, so ``restarts=0`` stops
+    there at rhs 0.
+
+    Every accepted step ascends, so the result is never worse than the
+    SVD start.  States with no degenerate block have no freedom and come
+    back unchanged.  The report's source tag is "rotated" when any freedom
+    was explored and "svd" otherwise; its descriptor records the steps
+    used and the stop reason.  A search whose estimated work exceeds
+    ``MAX_SEARCH_WORK`` raises :class:`InputError` before it starts.
+    """
+    from .sampling import _haar_unitaries, derive_seed
+
+    restarts, sweeps = int(restarts), int(sweeps)
+    if restarts < 0 or sweeps < 0:
+        raise InputError("restarts and sweeps must be nonnegative")
+    dims = s.state.shape.dims
+    d1, d2, d3, d4 = dims
+    work = (restarts + sweeps) * min(d1 * d2, d3 * d4) ** 2 * (d1 * d2 + d3 * d4)
+    if work > MAX_SEARCH_WORK:
+        raise InputError(
+            f"maximize on dims {dims} with {restarts} restarts and {sweeps} sweeps exceeds the "
+            f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
+        )
+    dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
+    wide_blocks = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
+    if not wide_blocks:
+        report = bn_gap(s, dec0, source="svd", descriptor="no degenerate freedom")
+        return dec0, report
+    lam = dec0.coefficients
+    k = lam.size
+    mask = np.zeros((k, k), dtype=bool)
+    for b in wide_blocks:
+        mask[np.ix_(b, b)] = True
+
+    # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
+    # Every start is scored by value only; a later start wins only by more
+    # than 1e-15, so ties go to the lowest index.  A start holds W, L W and
+    # R conj(W), k * (k + d1*d2 + d3*d4) entries.
+    chunk = max(1, STACK_ELEMENTS // (k * (k + d1 * d2 + d3 * d4)))
+    best, value = 0, 0.0
+    for start in range(0, restarts + 1, chunk):
+        end = min(start + chunk, restarts + 1)
+        first = max(start, 1)
+        w = np.zeros((end - start, k, k), dtype=np.complex128)
+        w[:, range(k), range(k)] = 1.0
+        for bi, b in enumerate(wide_blocks):
+            seeds = [derive_seed(seed, (i - 1) * len(wide_blocks) + bi) for i in range(first, end)]
+            w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), seeds)
+        lams = np.broadcast_to(lam, (end - start, k))
+        values = _rhs(lams, dec0.left @ w, dec0.right @ np.conj(w), dims)
+        for i, t_value in enumerate(values.tolist(), start):
+            if i == 0 or t_value > value + 1e-15:
+                best, value, best_w = i, t_value, w[i - start]
+    lmat, rmat = dec0.left, dec0.right
+    if best:
+        lmat, rmat = lmat @ best_w, rmat @ np.conj(best_w)
+    lmat, rmat, used, stop = _ascend(lam, lmat, rmat, dims, mask, sweeps)
     best_dec = replace(dec0, left=lmat, right=rmat)
     descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
     report = bn_gap(s, best_dec, source="rotated", descriptor=descriptor)

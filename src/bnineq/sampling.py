@@ -20,7 +20,7 @@ from .schmidt import (
     _arranged, _schmidt_stack, _verify_stack, schmidt_decompose, verify_decomposition,
 )
 from .tensor import FactorShape, PureState
-from .tolerances import SCAN_CHUNK_ELEMENTS, SCAN_RESIDUAL_TOL, VIOLATION_THRESHOLD
+from .tolerances import SCAN_RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -57,16 +57,26 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     factorization's phase convention and makes the distribution exactly
     Haar.  ``n = 1`` gives a single uniformly random phase.
     """
+    return _haar_unitaries(n, [seed])[0]
+
+
+def _haar_unitaries(n: int, seeds) -> np.ndarray:
+    """:func:`haar_unitary` of each seed, as a stack (len(seeds), n, n).
+
+    Each seed draws its Ginibre matrix from its own generator, so entry i
+    equals ``haar_unitary(n, seeds[i])``; the QR and the phase fix run
+    once on the whole stack.
+    """
     n = int(n)
     if n < 1:
         raise InputError(f"unitary dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    x = rng.standard_normal((2, n, n))
-    z = (x[0] + 1j * x[1]) / np.sqrt(2.0)
+    x = [np.random.default_rng(int(s) & _MASK64).standard_normal((2, n, n)) for s in seeds]
+    x = np.reshape(x, (-1, 2, n, n))
+    z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +143,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     (min, max, mean gap and the count of gaps below
     ``VIOLATION_THRESHOLD``) cover the successful samples only.
 
-    Stacks of at most ``SCAN_CHUNK_ELEMENTS`` amplitudes run the kernels
+    Stacks of at most ``STACK_ELEMENTS`` amplitudes run the kernels
     of :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
     and ``bn_rhs``, so each row equals the single-state evaluation; a
     stack that raises a numerical error is redone one sample at a time.
@@ -150,7 +160,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         raise InputError(f"scan needs a 4-factor shape, got {shape.dims}")
     lhs, rhs, score = np.full((3, n_samples), np.nan)
     errors: dict[int, str] = {}
-    chunk = max(1, SCAN_CHUNK_ELEMENTS // shape.total_dimension)
+    chunk = max(1, STACK_ELEMENTS // shape.total_dimension)
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
         states = [haar_state(shape, derive_seed(master_seed, i)) for i in range(start, stop)]

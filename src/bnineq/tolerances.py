@@ -55,9 +55,11 @@ RESIDUAL_TOL = 1e-8
 #: Scanned decompositions must verify at least this well to be recorded.
 SCAN_RESIDUAL_TOL = 1e-9
 
-#: scan evaluates its samples in stacks of at most this many amplitudes
-#: (a 1 MiB complex array), so its working memory is bounded.
-SCAN_CHUNK_ELEMENTS = 2**16
+#: Stacked evaluations hold at most this many complex entries per stack
+#: (1 MiB): scan's stacks of sample amplitudes and maximize_rhs's stacks of
+#: restart unitaries and rotated Schmidt vectors, so neither the sample
+#: count nor the restart count can grow working memory without bound.
+STACK_ELEMENTS = 2**16
 
 #: A scanned sample counts as a violation when its gap in nats is below
 #: this, which keeps roundoff around a zero gap from counting.

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from bnineq import (
     verify_decomposition,
     von_neumann_entropy,
 )
-from bnineq.inequality import _rhs_ascent
+from bnineq.inequality import _ascend, _rhs_ascent
+from bnineq.tolerances import STACK_ELEMENTS
 
 TWO_LN_TWO = 1.3862943611198906
 TWO_LN_THREE = 2.1972245773362196
@@ -399,6 +401,80 @@ def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
         assert time.perf_counter() - t0 < 2.0
         assert abs(report.rhs - 2 * np.log(d)) <= 1e-9, (k, report.state_descriptor)
         assert verify_decomposition(s.state, dec) <= 1e-10
+
+
+def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
+    """maximize_rhs with its starts scored one at a time: one haar_unitary
+    per block and one _rhs_ascent per start, the first best kept unless a
+    later start beats it by more than 1e-15, then the same ascent.
+    Returns the decomposition, its rhs, the descriptor and the winning
+    start (0 for the SVD start, r + 1 for restart r)."""
+    dims = s.state.shape.dims
+    dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
+    wide = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
+    lam = dec0.coefficients
+    k = lam.size
+    mask = np.zeros((k, k), dtype=bool)
+    for b in wide:
+        mask[np.ix_(b, b)] = True
+    lmat, rmat = dec0.left, dec0.right
+    value, _ = _rhs_ascent(lam, lmat, rmat, dims, mask)
+    best = 0
+    for r in range(restarts):
+        w = np.eye(k, dtype=np.complex128)
+        for bi, b in enumerate(wide):
+            w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide) + bi))
+        trial = (dec0.left @ w, dec0.right @ np.conj(w))
+        t_value, _ = _rhs_ascent(lam, *trial, dims, mask)
+        if t_value > value + 1e-15:
+            (lmat, rmat), value, best = trial, t_value, r + 1
+    lmat, rmat, used, stop = _ascend(lam, lmat, rmat, dims, mask, sweeps)
+    dec = replace(dec0, left=lmat, right=rmat)
+    return dec, bn_rhs(dec), f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}", best
+
+
+def grid_state(dims, entries):
+    """The normalized state with the given {basis label: amplitude}."""
+    grid = np.zeros(dims, dtype=np.complex128)
+    for label, amp in entries.items():
+        grid[label] = amp
+    return FourFactorState(PureState.normalized(FactorShape(dims), grid.reshape(-1)))
+
+
+def test_maximize_scores_its_starts_as_the_sequential_loop_does():
+    # The stacked scoring must pick the start that the one-at-a-time loop
+    # picks, so the ascent and every output stay bit for bit the same.
+    # Coefficients (.3, .3, .2, .2) on product vectors: two degenerate
+    # blocks, an SVD start at rhs 0, and restarts that win.
+    a, b = np.sqrt(0.3), np.sqrt(0.2)
+    two = grid_state(
+        (2, 2, 2, 2), {(0, 0, 0, 0): a, (1, 1, 1, 1): a, (0, 1, 0, 1): b, (1, 0, 1, 0): b}
+    )
+    blocks = degenerate_blocks(schmidt_decompose(two.state, ADDITIVITY_SPLIT).coefficients)
+    assert blocks == ((0, 1), (2, 3))
+    # Factors 1 and 3 are one-dimensional, so every start has rhs 0 up to
+    # roundoff, and the starts differ by about the 1e-15 margin.
+    flat = grid_state((1, 2, 1, 2), {(0, 0, 0, 0): 1.0, (0, 1, 0, 1): 1.0})
+    d4 = canonical_counterexample(4)
+    stack = STACK_ELEMENTS // (16 * (16 + 16 + 16))  # starts per stack at d = 4
+    cases = [(canonical_counterexample(2), {"seed": derive_seed(0, k)}) for k in range(20)]
+    cases += [(canonical_counterexample(3), {"seed": derive_seed(0, k)}) for k in range(5)]
+    cases += [(two, {"seed": k}) for k in range(5)] + [(flat, {"seed": k}) for k in range(5)]
+    cases += [(d4, {"restarts": 100, "sweeps": 20, "seed": k}) for k in (7, 9)]
+    cases += [(canonical_counterexample(2), {"restarts": 0})]
+    winners = {}
+    for s, kwargs in cases:
+        dec, report = maximize_rhs(s, **kwargs)
+        want_dec, want_rhs, want_descriptor, winner = sequential_maximize(s, **kwargs)
+        winners[s, kwargs.get("seed")] = winner
+        assert np.array_equal(dec.left, want_dec.left), kwargs
+        assert np.array_equal(dec.right, want_dec.right), kwargs
+        assert report.rhs == want_rhs, kwargs
+        assert report.state_descriptor == want_descriptor, kwargs
+    assert report.rhs == 0.0  # restarts=0 stops at the product start
+    assert all(winners[two, k] > 0 for k in range(5))
+    # the winners are the first and the last start of the second stack
+    assert (winners[d4, 7], winners[d4, 9]) == (stack, 100)
 
 
 def test_maximize_reaches_the_bound_on_a_non_square_state():

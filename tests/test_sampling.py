@@ -15,7 +15,8 @@ from bnineq import (
     scan,
     schmidt_decompose,
 )
-from bnineq.tolerances import SCAN_CHUNK_ELEMENTS
+from bnineq.sampling import _haar_unitaries
+from bnineq.tolerances import STACK_ELEMENTS
 
 Q4 = FactorShape((2, 2, 2, 2))
 
@@ -97,6 +98,22 @@ def test_haar_unitary_determinism_and_scalar_case():
         haar_unitary(0, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_haar_unitaries_equal_the_per_seed_draw(n):
+    seeds = [0, 7, -1, 2**64 - 1, derive_seed(3, 1), 123456789]
+    stack = _haar_unitaries(n, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    for u, seed in zip(stack, seeds):
+        # the single-seed draw: QR of a Ginibre matrix, R's phases divided out
+        rng = np.random.default_rng(seed & ((1 << 64) - 1))
+        x = rng.standard_normal((2, n, n))
+        q, r = np.linalg.qr((x[0] + 1j * x[1]) / np.sqrt(2.0))
+        diag = np.diag(r).copy()
+        diag[diag == 0] = 1.0
+        assert np.array_equal(u, q * (diag / np.abs(diag)))
+        assert np.array_equal(u, haar_unitary(n, seed))
+
+
 def test_haar_unitary_entry_statistics():
     # |U_00|^2 has mean 1/n for Haar unitaries.
     n = 4
@@ -113,7 +130,7 @@ def test_scan_single_sample_matches_direct_evaluation():
     # every row equals the direct evaluation exactly.  The last case holds
     # one sample more than a stack, so the scan evaluates two stacks.
     cases = [((2, 2, 2, 2), 1), ((2, 2, 2, 2), 6), ((2, 3, 2, 3), 6), ((3, 2, 3, 2), 6)]
-    cases += [((2, 3, 4, 2), 6), ((4, 4, 4, 4), SCAN_CHUNK_ELEMENTS // 4**4 + 1)]
+    cases += [((2, 3, 4, 2), 6), ((4, 4, 4, 4), STACK_ELEMENTS // 4**4 + 1)]
     for dims, n_samples in cases:
         shape = FactorShape(dims)
         report = scan(n_samples, shape, 7)
