@@ -35,7 +35,13 @@ from .schmidt import (
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
 from .tensor import FactorShape, PureState, flatten_index
-from .tolerances import GRAD_TOL, MAX_SEARCH_WORK, RESIDUAL_TOL, STACK_ELEMENTS
+from .tolerances import (
+    GRAD_TOL,
+    MAX_SEARCH_WORK,
+    RESIDUAL_TOL,
+    STACK_ELEMENTS,
+    START_TIE_TOL,
+)
 
 #: The bipartition across which Schmidt decompositions are taken.
 ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
@@ -320,7 +326,8 @@ def maximize_rhs(
     block-diagonal over the blocks.  ``restarts`` Haar-random block
     unitaries seed the search.  The SVD start and the restarts are scored
     together, by value only, as stacks of at most ``STACK_ELEMENTS``
-    entries; the best start wins, ties to the lowest index.  A Riemannian
+    entries; the best start wins, and a later start must beat it by more
+    than ``START_TIE_TOL``, so ties go to the lowest index.  A Riemannian
     gradient ascent on W then refines the winner, the only start whose
     gradient is computed.  Each ascent step, at most ``sweeps`` of them,
     moves along the gradient by a Cayley retraction; the step length is
@@ -365,8 +372,9 @@ def maximize_rhs(
 
     # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
     # Every start is scored by value only; a later start wins only by more
-    # than 1e-15, so ties go to the lowest index.  A start holds W, L W and
-    # R conj(W), k * (k + d1*d2 + d3*d4) entries.
+    # than START_TIE_TOL, so starts equal up to roundoff go to the lowest
+    # index.  A start holds W, L W and R conj(W), k * (k + d1*d2 + d3*d4)
+    # entries.
     chunk = max(1, STACK_ELEMENTS // (k * (k + d1 * d2 + d3 * d4)))
     best, value = 0, 0.0
     for start in range(0, restarts + 1, chunk):
@@ -380,7 +388,7 @@ def maximize_rhs(
         lams = np.broadcast_to(lam, (end - start, k))
         values = _rhs(lams, dec0.left @ w, dec0.right @ np.conj(w), dims)
         for i, t_value in enumerate(values.tolist(), start):
-            if i == 0 or t_value > value + 1e-15:
+            if i == 0 or t_value > value + START_TIE_TOL:
                 best, value, best_w = i, t_value, w[i - start]
     lmat, rmat = dec0.left, dec0.right
     if best:

@@ -65,6 +65,11 @@ STACK_ELEMENTS = 2**16
 #: this, which keeps roundoff around a zero gap from counting.
 VIOLATION_THRESHOLD = -1e-9
 
+#: A later maximize_rhs start replaces the best one only if it scores more
+#: than this higher: the margin sits above the entropy kernel's roundoff
+#: (about 1e-14), so starts that tie really go to the lowest index.
+START_TIE_TOL = 1e-12
+
 #: maximize_rhs ends its ascent as converged once the norm of the
 #: Riemannian gradient (in nats) is at most this.
 GRAD_TOL = 1e-9

@@ -33,7 +33,7 @@ from bnineq import (
     von_neumann_entropy,
 )
 from bnineq.inequality import _ascend, _rhs_ascent
-from bnineq.tolerances import STACK_ELEMENTS
+from bnineq.tolerances import STACK_ELEMENTS, START_TIE_TOL
 
 TWO_LN_TWO = 1.3862943611198906
 TWO_LN_THREE = 2.1972245773362196
@@ -406,7 +406,7 @@ def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
 def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
     """maximize_rhs with its starts scored one at a time: one haar_unitary
     per block and one _rhs_ascent per start, the first best kept unless a
-    later start beats it by more than 1e-15, then the same ascent.
+    later start beats it by more than START_TIE_TOL, then the same ascent.
     Returns the decomposition, its rhs, the descriptor and the winning
     start (0 for the SVD start, r + 1 for restart r)."""
     dims = s.state.shape.dims
@@ -426,7 +426,7 @@ def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
             w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide) + bi))
         trial = (dec0.left @ w, dec0.right @ np.conj(w))
         t_value, _ = _rhs_ascent(lam, *trial, dims, mask)
-        if t_value > value + 1e-15:
+        if t_value > value + START_TIE_TOL:
             (lmat, rmat), value, best = trial, t_value, r + 1
     lmat, rmat, used, stop = _ascend(lam, lmat, rmat, dims, mask, sweeps)
     dec = replace(dec0, left=lmat, right=rmat)
@@ -453,7 +453,7 @@ def test_maximize_scores_its_starts_as_the_sequential_loop_does():
     blocks = degenerate_blocks(schmidt_decompose(two.state, ADDITIVITY_SPLIT).coefficients)
     assert blocks == ((0, 1), (2, 3))
     # Factors 1 and 3 are one-dimensional, so every start has rhs 0 up to
-    # roundoff, and the starts differ by about the 1e-15 margin.
+    # roundoff, and the START_TIE_TOL margin decides.
     flat = grid_state((1, 2, 1, 2), {(0, 0, 0, 0): 1.0, (0, 1, 0, 1): 1.0})
     d4 = canonical_counterexample(4)
     stack = STACK_ELEMENTS // (16 * (16 + 16 + 16))  # starts per stack at d = 4
@@ -475,6 +475,21 @@ def test_maximize_scores_its_starts_as_the_sequential_loop_does():
     assert all(winners[two, k] > 0 for k in range(5))
     # the winners are the first and the last start of the second stack
     assert (winners[d4, 7], winners[d4, 9]) == (stack, 100)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_maximize_keeps_the_first_start_when_every_start_ties(d):
+    # |0>_1 |0>_3 (x) a maximally entangled pair on factors 2 and 4: every
+    # rotation of the one degenerate block keeps each Schmidt vector a
+    # product across 1 | 2 and 3 | 4, so every start has rhs 0 and only
+    # roundoff tells them apart.  Ties go to the SVD start.
+    flat = grid_state((d, d, d, d), {(0, j, 0, j): 1.0 for j in range(d)})
+    want, _ = maximize_rhs(flat, restarts=0)
+    for k in range(50):
+        dec, report = maximize_rhs(flat, seed=k)
+        assert np.array_equal(dec.left, want.left), k
+        assert np.array_equal(dec.right, want.right), k
+        assert abs(report.rhs) <= 1e-13, k
 
 
 def test_maximize_reaches_the_bound_on_a_non_square_state():

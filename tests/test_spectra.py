@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnineq import (
     DensityMatrix,
@@ -9,11 +11,13 @@ from bnineq import (
     PureState,
     Spectrum,
     entropy_from_eigenvalues,
+    haar_unitary,
     hermitian_eigen,
     partial_trace,
     svd,
     von_neumann_entropy,
 )
+from bnineq.spectra import entanglement_entropy
 
 # Frozen by direct evaluation of -sum(p ln p) for p = (3/4, 1/4).
 ENTROPY_3Q = 0.5623351446188083
@@ -194,6 +198,67 @@ def test_singular_values_squared_match_marginal_eigenvalues():
         padded = np.zeros(dims[0])
         padded[: s.size] = s**2
         assert np.max(np.abs(padded - spectrum.values)) < 1e-10
+
+
+# ---------------------------------------------------- entanglement entropy
+
+
+def spectrum_of(second, r):
+    """A probability vector of length ``r``: flat when ``second`` is None,
+    else one leading weight and one ``second`` weight (0 for a product)."""
+    if second is None:
+        return np.full(r, 1.0 / r)
+    p = np.zeros(r)
+    p[0] = 1.0
+    if r > 1:
+        p[:2] = 1.0 - second, second
+    return p
+
+
+def matrix_with_spectrum(shape, p, seed):
+    """M = U diag(sqrt p) V^T with U and V Haar, so that M M^H has
+    spectrum ``p`` padded with zeros."""
+    m, n = shape
+    u = haar_unitary(m, seed)[:, : p.size]
+    v = haar_unitary(n, seed + 1)[:, : p.size]
+    return (u * np.sqrt(p)) @ v.T
+
+
+def svd_entropy(m):
+    """Test-local reference: -sum s^2 ln s^2 over the singular values."""
+    p = np.linalg.svd(m, compute_uv=False) ** 2
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
+kernel_shapes = st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (1, 4)])
+kernel_spectra = st.sampled_from([0.0, 1e-13, 1e-20, None])  # product, tiny second, flat
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32), kernel_shapes, kernel_spectra)
+def test_entanglement_entropy_matches_exact_and_svd_spectra(seed, shape, second):
+    p = spectrum_of(second, min(shape))
+    m = matrix_with_spectrum(shape, p, seed)
+    exact = float(-(p[p > 0] * np.log(p[p > 0])).sum())
+    value = float(entanglement_entropy(m))
+    assert abs(value - exact) <= 5e-14
+    assert abs(value - svd_entropy(m)) <= 5e-14
+    # the other side of the cut has the same spectrum
+    assert abs(float(entanglement_entropy(m.T)) - value) <= 5e-14
+    # a stack gives each matrix's own value
+    stacked = entanglement_entropy(np.stack([m, m.conj(), 1j * m]))
+    assert stacked.shape == (3,)
+    assert np.max(np.abs(stacked - value)) <= 5e-14
+
+
+def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        entanglement_entropy(np.eye(2) / np.sqrt(2.0))
 
 
 # ------------------------------------------------------------ density checks
