@@ -44,7 +44,7 @@ from .inequality import (
     maximize_rhs,
     product_decomposition,
 )
-from .sampling import derive_seed, scan
+from .sampling import scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
 from .tensor import FactorShape, load_state
 from .tolerances import RESIDUAL_TOL
@@ -114,6 +114,36 @@ def _scan_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One row of a scan's "samples" list, laid out as ``json.dumps(doc,
+#: indent=2)`` lays it out.
+_SCAN_ROW = (
+    '    {{\n      "sample_index": {},\n      "derived_seed": {},\n'
+    '      "lhs": {},\n      "rhs": {},\n      "gap": {}\n    }}'
+)
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _scan_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` of a scan report, byte for byte, with
+    the sample rows written from a template instead of by the encoder."""
+    text = json.dumps({**doc, "samples": []}, indent=2)
+    if not doc["samples"]:
+        return text
+    rows = ",\n".join(
+        _SCAN_ROW.format(
+            r["sample_index"], r["derived_seed"],
+            _json_float(r["lhs"]), _json_float(r["rhs"]), _json_float(r["gap"]),
+        )
+        for r in doc["samples"]
+    )
+    head, tail = text.split('"samples": []', 1)
+    return f'{head}"samples": [\n{rows}\n  ]{tail}'
+
+
 def run_counterexample(dim: int, log_base: str) -> dict:
     s = canonical_counterexample(dim)
     product = product_decomposition(dim)
@@ -156,7 +186,8 @@ def run_scan(dim: int, samples: int, seed: int) -> dict:
     if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
     ok = np.delete(np.arange(report.n_samples), list(report.errors))
-    values = zip(ok.tolist(), *(a[ok].tolist() for a in (report.lhs, report.rhs, report.gap)))
+    arrays = (report.seeds, report.lhs, report.rhs, report.gap)
+    values = zip(ok.tolist(), *(a[ok].tolist() for a in arrays))
     return {
         "command": "scan",
         "n_samples": report.n_samples,
@@ -167,11 +198,11 @@ def run_scan(dim: int, samples: int, seed: int) -> dict:
         "mean_gap": report.mean_gap,
         "violation_count": report.violation_count,
         "samples": [
-            {"sample_index": i, "derived_seed": derive_seed(seed, i), "lhs": a, "rhs": b, "gap": g}
-            for i, a, b, g in values
+            {"sample_index": i, "derived_seed": k, "lhs": a, "rhs": b, "gap": g}
+            for i, k, a, b, g in values
         ],
         "errors": [
-            {"sample_index": i, "derived_seed": derive_seed(seed, i), "message": message}
+            {"sample_index": i, "derived_seed": int(report.seeds[i]), "message": message}
             for i, message in report.errors.items()
         ],
     }
@@ -314,7 +345,8 @@ def main(argv=None) -> int:
     if args.log_base == "2":
         _rescale(doc, _ENTROPY_KEYS[args.command], 1.0 / math.log(2.0))
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        text = _scan_json(doc) if args.command == "scan" else json.dumps(doc, indent=2)
+        _emit(text + "\n", args.output)
     else:
         _emit(_scan_csv(doc) if args.command == "scan" else _scalar_csv(doc), args.output)
     return 0

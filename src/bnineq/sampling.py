@@ -20,7 +20,9 @@ from .schmidt import (
     _arranged, _schmidt_stack, _verify_stack, schmidt_decompose, verify_decomposition,
 )
 from .tensor import FactorShape, PureState
-from .tolerances import SCAN_RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD
+from .tolerances import (
+    MAX_SCAN_AMPLITUDES, SCAN_RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -98,11 +100,13 @@ class SampleRecord:
 @dataclass(frozen=True, eq=False)
 class ScanReport:
     """Results of a scan as arrays over the samples, in nats: NaN on a
-    failed sample, whose index ``errors`` maps to its message.  Aggregates
+    failed sample, whose index ``errors`` maps to its message.  ``seeds``
+    holds each sample's derived seed (read-only uint64).  Aggregates
     cover the successful samples; ``per_sample`` builds the rows."""
 
     shape: FactorShape
     master_seed: int
+    seeds: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     gap: np.ndarray
@@ -125,11 +129,8 @@ class ScanReport:
 
     @property
     def per_sample(self) -> tuple[SampleRecord, ...]:
-        rows = zip(self.lhs.tolist(), self.rhs.tolist(), self.gap.tolist())
-        return tuple(
-            SampleRecord(i, derive_seed(self.master_seed, i), *row, self.errors.get(i))
-            for i, row in enumerate(rows)
-        )
+        rows = zip(self.seeds.tolist(), self.lhs.tolist(), self.rhs.tolist(), self.gap.tolist())
+        return tuple(SampleRecord(i, *row, self.errors.get(i)) for i, row in enumerate(rows))
 
 
 def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
@@ -141,7 +142,9 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     ``SCAN_RESIDUAL_TOL``) or whose evaluation raises a numerical error is
     recorded with an error tag instead of aborting the scan.  Aggregates
     (min, max, mean gap and the count of gaps below
-    ``VIOLATION_THRESHOLD``) cover the successful samples only.
+    ``VIOLATION_THRESHOLD``) cover the successful samples only.  A scan
+    of more than ``MAX_SCAN_AMPLITUDES`` amplitudes in all is refused
+    before anything is drawn.
 
     Stacks of at most ``STACK_ELEMENTS`` amplitudes run the kernels
     of :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
@@ -158,12 +161,18 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         raise InputError(f"n_samples must be >= 1, got {n_samples}")
     if shape.n_factors != 4:
         raise InputError(f"scan needs a 4-factor shape, got {shape.dims}")
+    if n_samples * shape.total_dimension > MAX_SCAN_AMPLITUDES:
+        raise InputError(
+            f"{n_samples} samples of dimension {shape.total_dimension} exceed the supported "
+            f"maximum of {MAX_SCAN_AMPLITUDES} amplitudes per scan"
+        )
+    seeds = [derive_seed(master_seed, i) for i in range(n_samples)]
     lhs, rhs, score = np.full((3, n_samples), np.nan)
     errors: dict[int, str] = {}
     chunk = max(1, STACK_ELEMENTS // shape.total_dimension)
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        states = [haar_state(shape, derive_seed(master_seed, i)) for i in range(start, stop)]
+        states = [haar_state(shape, seed) for seed in seeds[start:stop]]
         amps = np.stack([psi.amplitudes for psi in states])
         m = _arranged(amps, shape, ADDITIVITY_SPLIT)
         try:
@@ -184,4 +193,8 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         errors.setdefault(i, message)
     bad = list(errors)
     lhs[bad] = rhs[bad] = np.nan
-    return ScanReport(shape, int(master_seed), lhs, rhs, lhs - rhs, dict(sorted(errors.items())))
+    seeds = np.array(seeds, dtype=np.uint64)
+    seeds.setflags(write=False)
+    return ScanReport(
+        shape, int(master_seed), seeds, lhs, rhs, lhs - rhs, dict(sorted(errors.items()))
+    )

@@ -97,6 +97,14 @@ def flatten_index(multi_index, shape: FactorShape) -> int:
     return linear
 
 
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm of a flat complex vector: the arithmetic of
+    ``np.linalg.norm`` (``sqrt(re.re + im.im)``) without its per-call cost,
+    so the two agree bit for bit."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized state vector on a tensor-product space.
@@ -116,8 +124,8 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected "
                 f"{self.shape.total_dimension} for dims {self.shape.dims}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not np.isfinite(norm):
+        norm = _norm(amps)
+        if not math.isfinite(norm):
             raise InputError("state vector has non-finite amplitudes")
         if abs(norm - 1.0) > NORM_ATOL:
             raise InputError(f"state vector norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
@@ -128,7 +136,7 @@ class PureState:
     def normalized(cls, shape: FactorShape, amplitudes) -> "PureState":
         """Build a state from an unnormalized amplitude vector."""
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if norm == 0.0:
             raise InputError("cannot normalize the zero vector")
         return cls(shape, amps / norm)

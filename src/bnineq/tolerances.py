@@ -61,6 +61,11 @@ SCAN_RESIDUAL_TOL = 1e-9
 #: count nor the restart count can grow working memory without bound.
 STACK_ELEMENTS = 2**16
 
+#: scan refuses more than this many amplitudes in all (samples times total
+#: dimension): about 200 times the README's largest scan, and few enough
+#: that an accepted scan ends within minutes (about one at d = 2).
+MAX_SCAN_AMPLITUDES = 10**7
+
 #: A scanned sample counts as a violation when its gap in nats is below
 #: this, which keeps roundoff around a zero gap from counting.
 VIOLATION_THRESHOLD = -1e-9

@@ -16,7 +16,7 @@ from bnineq import (
     save_state,
     state_to_document,
 )
-from bnineq.cli import main
+from bnineq.cli import _ENTROPY_KEYS, _rescale, _scan_json, main, run_scan
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -357,6 +357,57 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "every sample in the scan failed" in captured.err
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("log_base", ["e", "2"])
+def test_scan_json_writer_matches_the_json_encoder(dim, log_base):
+    doc = run_scan(dim, 30, 7)
+    if log_base == "2":
+        _rescale(doc, _ENTROPY_KEYS["scan"], 1.0 / np.log(2.0))
+    assert _scan_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_scan_json_writer_matches_the_json_encoder_with_error_rows(monkeypatch):
+    bad = haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes
+    svd = bnineq.spectra.svd
+
+    def failing_svd(m):
+        if any(np.array_equal(row, bad) for row in np.reshape(m, (-1, bad.size))):
+            raise NumericalError("SVD failed to converge: injected")
+        return svd(m)
+
+    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+    doc = run_scan(2, 20, 3)
+    assert [row["sample_index"] for row in doc["errors"]] == [7]
+    assert _scan_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_scan_json_writer_matches_the_json_encoder_on_non_finite_floats():
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        {"sample_index": 0, "derived_seed": 2**64 - 1, "lhs": nan, "rhs": inf, "gap": -inf},
+        {"sample_index": 1, "derived_seed": 0, "lhs": -0.0, "rhs": 1e-310, "gap": 1e300},
+        {"sample_index": 2, "derived_seed": 5, "lhs": 0.1, "rhs": inf, "gap": nan},
+    ]
+    doc = {
+        "command": "scan", "n_samples": 4, "shape": [2, 2, 2, 2], "master_seed": -3,
+        "min_gap": nan, "max_gap": inf, "mean_gap": -inf, "violation_count": 0,
+        "samples": rows,
+        "errors": [{"sample_index": 3, "derived_seed": 9, "message": '"samples": []\n'}],
+    }
+    assert _scan_json(doc) == json.dumps(doc, indent=2)
+    assert _scan_json({**doc, "samples": []}) == json.dumps({**doc, "samples": []}, indent=2)
+
+
+def test_scan_refuses_an_oversized_run_with_exit_2(capsys):
+    t0 = time.perf_counter()
+    code = main(["scan", "--dim", "2", "--samples", "100000000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "amplitudes" in captured.err
 
 
 def test_argparse_rejects_unknown_flags():

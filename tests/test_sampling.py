@@ -16,7 +16,7 @@ from bnineq import (
     schmidt_decompose,
 )
 from bnineq.sampling import _haar_unitaries
-from bnineq.tolerances import STACK_ELEMENTS
+from bnineq.tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS
 
 Q4 = FactorShape((2, 2, 2, 2))
 
@@ -191,6 +191,26 @@ def test_scan_aggregates_match_rows():
 def test_scan_succeeds_without_errors_at_small_sizes():
     report = scan(40, FactorShape((3, 2, 3, 2)), 123)
     assert all(r.error is None for r in report.per_sample)
+
+
+def test_scan_keeps_each_derived_seed():
+    for master in (7, -1):
+        report = scan(40, Q4, master)
+        assert report.seeds.dtype == np.uint64
+        assert not report.seeds.flags.writeable
+        assert report.seeds.tolist() == [derive_seed(master, i) for i in range(40)]
+
+
+def test_scan_refuses_too_many_amplitudes(monkeypatch):
+    with pytest.raises(InputError, match="amplitudes"):
+        scan(MAX_SCAN_AMPLITUDES // Q4.total_dimension + 1, Q4, 1)
+    with pytest.raises(InputError, match="amplitudes"):
+        scan(10**11, Q4, 1)
+    # The limit itself is admitted.
+    monkeypatch.setattr(bnineq.sampling, "MAX_SCAN_AMPLITUDES", 2 * Q4.total_dimension)
+    assert scan(2, Q4, 1).n_samples == 2
+    with pytest.raises(InputError, match="amplitudes"):
+        scan(3, Q4, 1)
 
 
 def test_scan_input_validation():

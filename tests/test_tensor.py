@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnineq import (
     FactorShape,
@@ -19,6 +21,7 @@ from bnineq import (
     save_state,
     state_to_document,
 )
+from bnineq.tensor import _norm
 
 
 def q22():
@@ -125,6 +128,23 @@ def test_normalized_constructor():
     assert np.allclose(psi.amplitudes, [0.6, 0.8])
     with pytest.raises(InputError):
         PureState.normalized(FactorShape((2,)), np.zeros(2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.floats(-150.0, 150.0), st.integers(0, 2**32 - 1))
+def test_norm_helper_equals_numpy_norm_bit_for_bit(n, exponent, seed):
+    rng = np.random.default_rng(seed)
+    amps = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0**exponent
+    assert _norm(amps).hex() == float(np.linalg.norm(amps)).hex()
+
+
+def test_normalized_rejects_a_vector_whose_norm_underflows():
+    # The squares of 1e-160-scale amplitudes are subnormal, so the norm
+    # loses digits and the "normalized" vector has norm 1.0000056: the
+    # unit-norm gate must catch what the zero check lets through.
+    amps = np.array([1, 2j, 3, 4]) * 1e-160
+    with pytest.raises(InputError, match="deviates from 1"):
+        PureState.normalized(FactorShape((4,)), amps)
 
 
 # --------------------------------------------------- products and permutes

@@ -10,3 +10,9 @@ def test_the_relations_the_table_promises():
     assert tol.MAX_TOTAL_DIMENSION * eps < tol.SCAN_RESIDUAL_TOL <= tol.RESIDUAL_TOL
     # The eigenvalue floor is no stricter than the matrix roundoff gates.
     assert tol.MATRIX_ATOL <= tol.CLIP_TOL
+
+
+def test_the_scan_limit_admits_the_readme_scans_with_room():
+    # 1000 samples at d = 2, 300 at d = 3 and 200 at d = 4 (README and CI).
+    largest = max(1000 * 2**4, 300 * 3**4, 200 * 4**4)
+    assert 100 * largest <= tol.MAX_SCAN_AMPLITUDES
