@@ -368,16 +368,8 @@ def test_scan_json_writer_matches_the_json_encoder(dim, log_base):
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 
 
-def test_scan_json_writer_matches_the_json_encoder_with_error_rows(monkeypatch):
-    bad = haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes
-    svd = bnineq.spectra.svd
-
-    def failing_svd(m):
-        if any(np.array_equal(row, bad) for row in np.reshape(m, (-1, bad.size))):
-            raise NumericalError("SVD failed to converge: injected")
-        return svd(m)
-
-    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
+    fail_svd_on(haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes)
     doc = run_scan(2, 20, 3)
     assert [row["sample_index"] for row in doc["errors"]] == [7]
     assert _scan_json(doc) == json.dumps(doc, indent=2)

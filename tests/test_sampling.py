@@ -7,7 +7,6 @@ from bnineq import (
     FactorShape,
     FourFactorState,
     InputError,
-    NumericalError,
     bn_gap,
     derive_seed,
     haar_state,
@@ -146,17 +145,9 @@ def test_scan_single_sample_matches_direct_evaluation():
             assert row.gap == direct.gap, (dims, row.sample_index)
 
 
-def test_scan_isolates_a_failing_sample_in_its_stack(monkeypatch):
+def test_scan_isolates_a_failing_sample_in_its_stack(fail_svd_on):
     clean = scan(20, Q4, 3)
-    bad = haar_state(Q4, derive_seed(3, 7)).amplitudes
-    svd = bnineq.spectra.svd
-
-    def failing_svd(m):
-        if any(np.array_equal(row, bad) for row in np.reshape(m, (-1, bad.size))):
-            raise NumericalError("SVD failed to converge: injected")
-        return svd(m)
-
-    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+    fail_svd_on(haar_state(Q4, derive_seed(3, 7)).amplitudes)
     report = scan(20, Q4, 3)
     assert report.errors == {7: "SVD failed to converge: injected"}
     assert [r.error is None for r in report.per_sample] == [i != 7 for i in range(20)]
