@@ -20,7 +20,6 @@ from .inequality import (
     deformed_counterexample,
     entangled_decomposition,
     maximize_rhs,
-    product_basis,
     product_decomposition,
 )
 from .sampling import (
@@ -98,7 +97,6 @@ __all__ = [
     "partial_trace",
     "partial_trace_naive",
     "permute_factors",
-    "product_basis",
     "product_decomposition",
     "rotate_block",
     "save_state",

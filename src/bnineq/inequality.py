@@ -34,7 +34,7 @@ from .schmidt import (
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
-from .tensor import FactorShape, PureState, flatten_index
+from .tensor import FactorShape, PureState
 from .tolerances import (
     GRAD_TOL,
     MAX_SEARCH_WORK,
@@ -161,46 +161,27 @@ def canonical_counterexample(d: int) -> FourFactorState:
     left-hand side vanishes.
     """
     d = _check_dim(d)
-    shape = FactorShape((d, d, d, d))
-    amps = np.zeros(shape.total_dimension, dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            amps[flatten_index((i, k, i, k), shape)] = 1.0 / d
-    return FourFactorState(PureState(shape, amps))
+    eye = np.eye(d)
+    amps = np.einsum("ij,kl->ikjl", eye, eye) / d
+    return FourFactorState(PureState(FactorShape((d, d, d, d)), amps))
 
 
-def bell_basis(d: int) -> tuple[PureState, ...]:
-    """The d^2 generalized Bell vectors on C^d (x) C^d.
+def bell_basis(d: int) -> np.ndarray:
+    """The d^2 generalized Bell vectors on C^d (x) C^d, as the columns of a
+    (d^2 x d^2) unitary matrix.
 
-    Entry (m, n), stored at index m*d + n, is
-    ``(1/sqrt(d)) sum_j omega^(j*m) e_j (x) e_(j+n mod d)`` with
+    Column m*d + n is
+    ``Phi_mn = (1/sqrt(d)) sum_j omega^(j*m) e_j (x) e_(j+n mod d)`` with
     ``omega = exp(2 pi i / d)``.  Every member is maximally entangled, the
     family is orthonormal, and it is closed under complex conjugation in
     the computational basis.
     """
     d = _check_dim(d)
-    shape = FactorShape((d, d))
     omega = np.exp(2j * np.pi / d)
-    out = []
-    for m in range(d):
-        for n in range(d):
-            amps = np.zeros(d * d, dtype=np.complex128)
-            for j in range(d):
-                amps[j * d + (j + n) % d] = omega ** (j * m) / math.sqrt(d)
-            out.append(PureState(shape, amps))
-    return tuple(out)
-
-
-def product_basis(d: int) -> tuple[PureState, ...]:
-    """Computational product basis e_i (x) e_k of C^d (x) C^d, index i*d + k."""
-    d = _check_dim(d)
-    shape = FactorShape((d, d))
-    out = []
-    for i in range(d * d):
-        amps = np.zeros(d * d, dtype=np.complex128)
-        amps[i] = 1.0
-        out.append(PureState(shape, amps))
-    return tuple(out)
+    j, m, n = np.ogrid[:d, :d, :d]
+    basis = np.zeros((d, d, d, d), dtype=np.complex128)
+    basis[j, (j + n) % d, m, n] = omega ** (j * m) / math.sqrt(d)
+    return basis.reshape(d * d, d * d)
 
 
 def product_decomposition(d: int) -> SchmidtDecomposition:
@@ -210,7 +191,7 @@ def product_decomposition(d: int) -> SchmidtDecomposition:
     evaluates to zero for this choice.
     """
     state = canonical_counterexample(d).state
-    return decomposition_from_basis(state, ADDITIVITY_SPLIT, product_basis(d))
+    return decomposition_from_basis(state, ADDITIVITY_SPLIT, np.eye(d * d))
 
 
 def entangled_decomposition(d: int) -> SchmidtDecomposition:
@@ -247,7 +228,7 @@ def deformed_counterexample(
     tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d
     lam = (1.0 + eps * tilt) / big_d
     lam = lam[::-1].copy()  # descending
-    left = np.column_stack([v.amplitudes for v in bell_basis(d)])
+    left = bell_basis(d)
     right = np.conj(left)
     shape = FactorShape((d, d, d, d))
     amps = (left * np.sqrt(lam)) @ right.T

@@ -206,6 +206,8 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     lam = np.asarray(coefficients, dtype=np.float64).reshape(-1)
     if lam.size == 0:
         raise InputError("empty coefficient list")
+    if not np.all(np.isfinite(lam)):
+        raise InputError("coefficients must be finite")
     if np.any(np.diff(lam) > 0.0):
         raise InputError("coefficients must be sorted in descending order")
     threshold = BLOCK_TOL * max(1.0, float(lam[0]))
@@ -264,20 +266,17 @@ def decomposition_from_basis(
     ----------
     psi : PureState
     split : BipartiteSplit
-    basis : sequence of PureState
-        Complete orthonormal basis of the left subspace (D vectors).
+    basis : array_like, (D x D)
+        Unitary whose columns are the basis of the left subspace, each in
+        the row-major order of the left factors taken in split order.
     """
     _check_split(psi.shape, split)
-    left_dims = _side_dims(psi.shape, split.left)
-    d_left = math.prod(left_dims)
-    vectors = tuple(basis)
-    if len(vectors) != d_left:
-        raise InputError(f"basis has {len(vectors)} vectors, expected {d_left}")
-    if any(v.shape.dims != left_dims for v in vectors):
-        raise InputError("basis vectors do not live on the left factors of the split")
-    bmat = np.column_stack([v.amplitudes for v in vectors])
+    d_left = math.prod(_side_dims(psi.shape, split.left))
+    bmat = np.asarray(basis, dtype=np.complex128)
+    if bmat.shape != (d_left, d_left):
+        raise InputError(f"basis has array shape {bmat.shape}, expected {(d_left, d_left)}")
     ortho_dev = float(np.max(np.abs(bmat.conj().T @ bmat - np.eye(d_left))))
-    if ortho_dev > MATRIX_ATOL:
+    if not ortho_dev <= MATRIX_ATOL:
         raise InputError(f"basis deviates from orthonormal by {ortho_dev:.3e}")
     m = _arranged(psi.amplitudes[None], psi.shape, split)[0]
     mixed_dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d_left) / d_left)))

@@ -30,6 +30,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(vals)):
+            raise InputError("spectrum values must be finite")
         if vals.size and np.any(np.diff(vals) > 0):
             raise InputError("spectrum values must be sorted in descending order")
         vals.setflags(write=False)
@@ -43,6 +45,17 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _lapack(name: str, *args, **kwargs):
+    """``numpy.linalg.<name>(*args, **kwargs)``, with a convergence failure
+    raised as :class:`NumericalError`.  The function is looked up at call
+    time, so a tracer or test that patches ``numpy.linalg`` intercepts it."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        what = "SVD" if name == "svd" else "eigensolver"
+        raise NumericalError(f"{what} failed to converge: {exc}") from exc
+
+
 def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -53,12 +66,9 @@ def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
     """
     a = _as_square(m)
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if herm_dev > MATRIX_ATOL:
+    if not herm_dev <= MATRIX_ATOL:
         raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
-    try:
-        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    w, v = _lapack("eigh", 0.5 * (a + a.conj().T))
     order = np.argsort(-w, kind="stable")
     return Spectrum(w[order]), v[:, order]
 
@@ -73,10 +83,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2:
         raise InputError(f"expected a matrix, got array of shape {a.shape}")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    u, s, vh = _lapack("svd", a, full_matrices=False)
     return u, s, vh.conj().swapaxes(-1, -2)
 
 
@@ -84,7 +91,7 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     """Clipped Shannon sum in nats over the last axis of ``p`` (see
     :func:`entropy_from_eigenvalues` for the clipping policy)."""
     lowest = float(p.min()) if p.size else 0.0
-    if lowest < -CLIP_TOL:
+    if not lowest >= -CLIP_TOL:
         raise NumericalError(
             f"eigenvalue {lowest:.3e} below -{CLIP_TOL}; refusing to clip it silently"
         )
@@ -98,9 +105,11 @@ def entropy_from_eigenvalues(values) -> float:
     Applies the package clipping policy: values in ``[-CLIP_TOL, 0)``
     become 0, values below ``-CLIP_TOL`` raise :class:`NumericalError`
     because they signal an invalid matrix upstream.  The ``p = 0`` terms
-    contribute zero.
+    contribute zero.  NaN or inf raises :class:`InputError`.
     """
     p = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(p)):
+        raise InputError("eigenvalues must be finite")
     return float(_shannon(p))
 
 
@@ -117,11 +126,7 @@ def entanglement_entropy(matrices) -> np.ndarray:
     m = np.asarray(matrices)
     if m.shape[-2] > m.shape[-1]:
         m = m.swapaxes(-1, -2)
-    try:
-        p = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    return _shannon(p)
+    return _shannon(_lapack("eigvalsh", m @ m.conj().swapaxes(-1, -2)))
 
 
 def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
@@ -133,10 +138,7 @@ def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
     full derivative is orthogonal to such dM and is left out.  Returns the
     entropies (shape ``matrices.shape[:-2]``) and the stack of gradients.
     """
-    try:
-        u, s, vh = np.linalg.svd(matrices, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    u, s, vh = _lapack("svd", matrices, full_matrices=False)
     p = s**2
     weights = -2.0 * s * np.log(np.where(p > 0.0, p, 1.0))
     return _shannon(p), (u * weights[..., None, :]) @ vh
@@ -144,8 +146,4 @@ def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -tr(rho ln rho) of a density matrix, in nats."""
-    try:
-        w = np.linalg.eigvalsh(rho.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    return entropy_from_eigenvalues(w)
+    return entropy_from_eigenvalues(_lapack("eigvalsh", rho.entries))

@@ -197,10 +197,10 @@ class DensityMatrix:
                 f"matrix dimension {m.shape[0]} does not match shape {self.origin_shape.dims}"
             )
         herm_dev = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
-        if herm_dev > MATRIX_ATOL:
+        if not herm_dev <= MATRIX_ATOL:
             raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(m)) - 1.0)
-        if trace_dev > MATRIX_ATOL:
+        if not trace_dev <= MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
         lowest = float(np.min(np.linalg.eigvalsh(m)))
         if lowest < -CLIP_TOL:
@@ -331,7 +331,7 @@ def load_state(path) -> PureState:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise InputError(
                 f"state file {path}: amplitude {k} must be a [re, im] pair of numbers"

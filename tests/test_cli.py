@@ -327,6 +327,16 @@ def test_check_exit_2_on_bool_dims(capsys, tmp_path):
     assert main(["check", "--input", str(path)]) == 2
 
 
+def test_check_exit_2_on_bool_amplitudes(capsys, tmp_path):
+    path = tmp_path / "bool_amplitudes.json"
+    amps = np.zeros(16)
+    amps[0] = 1.0
+    doc = state_to_document(PureState(FactorShape((2, 2, 2, 2)), amps))
+    doc["amplitudes"][0] = [True, False]
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path)]) == 2
+
+
 def test_exit_2_when_maximize_gets_no_or_both_sources(capsys, tmp_path):
     assert main(["maximize"]) == 2
     path = tmp_path / "canon.json"

@@ -90,14 +90,14 @@ def test_bell_basis_d2_members():
     basis = bell_basis(2)
     phi_plus = np.array([1, 0, 0, 1]) / np.sqrt(2)
     phi_minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
-    assert np.max(np.abs(basis[0].amplitudes - phi_plus)) < 1e-15  # (m, n) = (0, 0)
-    assert np.max(np.abs(basis[2].amplitudes - phi_minus)) < 1e-15  # (m, n) = (1, 0)
+    assert np.max(np.abs(basis[:, 0] - phi_plus)) < 1e-15  # (m, n) = (0, 0)
+    assert np.max(np.abs(basis[:, 2] - phi_minus)) < 1e-15  # (m, n) = (1, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_bell_basis_is_orthonormal(d):
-    basis = bell_basis(d)
-    mat = np.column_stack([b.amplitudes for b in basis])
+    mat = bell_basis(d)
+    assert mat.shape == (d * d, d * d)
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(d * d))) < 1e-12
 
 
@@ -105,8 +105,8 @@ def test_bell_basis_is_orthonormal(d):
 def test_bell_basis_members_are_maximally_entangled(d):
     from bnineq import partial_trace
 
-    for b in bell_basis(d):
-        s = von_neumann_entropy(partial_trace(b, (1,)))
+    for col in bell_basis(d).T:
+        s = von_neumann_entropy(partial_trace(PureState(FactorShape((d, d)), col), (1,)))
         assert abs(s - np.log(d)) < 1e-10
 
 
@@ -115,9 +115,36 @@ def test_bell_basis_closed_under_conjugation():
     basis = bell_basis(d)
     for m in range(d):
         for n in range(d):
-            conj = np.conj(basis[m * d + n].amplitudes)
-            partner = basis[((d - m) % d) * d + n].amplitudes
+            conj = np.conj(basis[:, m * d + n])
+            partner = basis[:, ((d - m) % d) * d + n]
             assert np.max(np.abs(conj - partner)) < 1e-12
+
+
+def loop_bell_basis(d):
+    """The Bell basis built one entry at a time (test-local reference)."""
+    omega = np.exp(2j * np.pi / d)
+    mat = np.zeros((d * d, d * d), dtype=np.complex128)
+    for m in range(d):
+        for n in range(d):
+            for j in range(d):
+                mat[j * d + (j + n) % d, m * d + n] = omega ** (j * m) / np.sqrt(d)
+    return mat
+
+
+def loop_canonical_amplitudes(d):
+    """Amplitude 1/d on every label (i, k, i, k) (test-local reference)."""
+    shape = FactorShape((d, d, d, d))
+    amps = np.zeros(shape.total_dimension, dtype=np.complex128)
+    for i in range(d):
+        for k in range(d):
+            amps[flatten_index((i, k, i, k), shape)] = 1.0 / d
+    return amps
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_array_constructions_equal_the_loops_bit_for_bit(d):
+    assert np.array_equal(bell_basis(d), loop_bell_basis(d))
+    assert np.array_equal(canonical_counterexample(d).state.amplitudes, loop_canonical_amplitudes(d))
 
 
 # ------------------------------------------------------------ lhs, rhs, gap

@@ -10,6 +10,7 @@ from bnineq import (
     NumericalError,
     PureState,
     Spectrum,
+    degenerate_blocks,
     entropy_from_eigenvalues,
     haar_unitary,
     hermitian_eigen,
@@ -17,7 +18,7 @@ from bnineq import (
     svd,
     von_neumann_entropy,
 )
-from bnineq.spectra import entanglement_entropy
+from bnineq.spectra import entanglement_entropy, entanglement_entropy_grad
 
 # Frozen by direct evaluation of -sum(p ln p) for p = (3/4, 1/4).
 ENTROPY_3Q = 0.5623351446188083
@@ -261,7 +262,49 @@ def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
         entanglement_entropy(np.eye(2) / np.sqrt(2.0))
 
 
+@pytest.mark.parametrize(
+    "function, argument, patched, message",
+    [
+        (svd, np.eye(2), "svd", "SVD failed to converge"),
+        (hermitian_eigen, np.eye(2), "eigh", "eigensolver failed to converge"),
+        (entanglement_entropy_grad, np.eye(2) / np.sqrt(2.0), "svd", "SVD failed to converge"),
+        (
+            von_neumann_entropy,
+            DensityMatrix(np.eye(2) / 2, FactorShape((2,))),
+            "eigvalsh",
+            "eigensolver failed to converge",
+        ),
+    ],
+    ids=["svd", "hermitian_eigen", "entanglement_entropy_grad", "von_neumann_entropy"],
+)
+def test_lapack_failures_raise_numerical_error(monkeypatch, function, argument, patched, message):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, patched, fail)
+    with pytest.raises(NumericalError, match=message):
+        function(argument)
+
+
 # ------------------------------------------------------------ density checks
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DensityMatrix(np.full((2, 2), np.nan), FactorShape((2,))),
+        lambda: hermitian_eigen(np.full((2, 2), np.nan)),
+        lambda: Spectrum([np.nan, 1.0]),
+        lambda: entropy_from_eigenvalues([np.nan, 0.5]),
+        lambda: entropy_from_eigenvalues([np.inf]),
+        lambda: entanglement_entropy(np.full((2, 2), np.nan)),
+        lambda: degenerate_blocks([0.5, np.nan, 0.2]),
+    ],
+    ids=["DensityMatrix", "hermitian_eigen", "Spectrum", "entropy_nan", "entropy_inf", "kernel_nan", "blocks"],
+)
+def test_non_finite_inputs_are_rejected(call):
+    with pytest.raises((InputError, NumericalError)):
+        call()
 
 
 def test_density_matrix_validation():
