@@ -35,7 +35,6 @@ from .schmidt import (
     SchmidtDecomposition,
     decomposition_from_basis,
     degenerate_blocks,
-    rotate_block,
     schmidt_decompose,
     verify_decomposition,
 )
@@ -50,9 +49,7 @@ from .tensor import (
     DensityMatrix,
     FactorShape,
     PureState,
-    basis_state,
     flatten_index,
-    kron_state,
     load_state,
     partial_trace,
     partial_trace_naive,
@@ -75,7 +72,6 @@ __all__ = [
     "ScanReport",
     "SchmidtDecomposition",
     "Spectrum",
-    "basis_state",
     "bell_basis",
     "bn_gap",
     "bn_lhs",
@@ -91,14 +87,12 @@ __all__ = [
     "haar_state",
     "haar_unitary",
     "hermitian_eigen",
-    "kron_state",
     "load_state",
     "maximize_rhs",
     "partial_trace",
     "partial_trace_naive",
     "permute_factors",
     "product_decomposition",
-    "rotate_block",
     "save_state",
     "scan",
     "schmidt_decompose",

@@ -47,7 +47,6 @@ from .inequality import (
 from .sampling import scan
 from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
 from .tensor import FactorShape, load_state
-from .tolerances import RESIDUAL_TOL
 
 
 def _fmt(x: float) -> str:
@@ -208,13 +207,11 @@ def run_scan(dim: int, samples: int, seed: int) -> dict:
     }
 
 
-def run_check(input_path: str, log_base: str, residual_tol: float) -> dict:
+def run_check(input_path: str, log_base: str) -> dict:
     psi = load_state(input_path)
     s = FourFactorState(psi)
     dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
-    report = bn_gap(
-        s, dec, residual_tol=residual_tol, source="svd", descriptor=f"state file {input_path}"
-    )
+    report = bn_gap(s, dec, source="svd", descriptor=f"state file {input_path}")
     return {
         "command": "check",
         "input": input_path,
@@ -301,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate a state loaded from a JSON file")
     p.add_argument("--input", required=True, help="state file path")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=RESIDUAL_TOL,
-        help="verification residual gate for the decomposition",
-    )
     common(p)
 
     p = sub.add_parser("maximize", help="search the Schmidt freedom for the largest rhs")
@@ -331,7 +322,7 @@ def main(argv=None) -> int:
         elif args.command == "scan":
             doc = run_scan(args.dim, args.samples, args.seed)
         elif args.command == "check":
-            doc = run_check(args.input, args.log_base, args.tol)
+            doc = run_check(args.input, args.log_base)
         else:
             doc = run_maximize(
                 args.input, args.dim, args.restarts, args.sweeps, args.seed, args.log_base

@@ -4,7 +4,7 @@ pure states, and the family of states that violates it.
 For a pure state on H_1 (x) H_2 (x) H_3 (x) H_4, with Alice holding
 factors 1 and 3 and Bob holding 2 and 4, the inequality claims
 
-    S(rho_13)  <=  sum_a lambda_a [ S(tr_2 |l_a><l_a|) + S(tr_4 |r_a><r_a|) ]
+    S(rho_13)  >=  sum_a lambda_a [ S(tr_2 |l_a><l_a|) + S(tr_4 |r_a><r_a|) ]
 
 for a Schmidt decomposition ``sum_a sqrt(lambda_a) l_a (x) r_a`` across the
 split {1,2} | {3,4}.  The right-hand side depends on which Schmidt
@@ -120,25 +120,19 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
 
 
 def bn_gap(
-    s: FourFactorState,
-    dec: SchmidtDecomposition,
-    residual_tol: float = RESIDUAL_TOL,
-    source: str = "custom",
-    descriptor: str = "",
+    s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom", descriptor: str = ""
 ) -> GapReport:
     """Evaluate both sides of the inequality and their gap.
 
     The decomposition must actually decompose ``s`` (verification score at
-    most ``residual_tol``, which must be finite), otherwise the comparison
-    is meaningless and an :class:`InputError` is raised.
+    most ``RESIDUAL_TOL``), otherwise the comparison is meaningless and an
+    :class:`InputError` is raised.
     """
-    if not math.isfinite(residual_tol):
-        raise InputError(f"residual_tol must be finite, got {residual_tol!r}")
     score = verify_decomposition(s.state, dec)
-    if not (score <= residual_tol):
+    if not (score <= RESIDUAL_TOL):
         raise InputError(
             f"decomposition does not reproduce the state (worst violation "
-            f"{score:.3e} > {residual_tol})"
+            f"{score:.3e} > {RESIDUAL_TOL})"
         )
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)

@@ -12,7 +12,7 @@ mixed by any unitary, with the conjugate unitary applied on the other side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,33 +221,6 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
             current = [a]
     blocks.append(tuple(current))
     return tuple(blocks)
-
-
-def rotate_block(dec: SchmidtDecomposition, block, u) -> SchmidtDecomposition:
-    """Apply the unitary freedom of one degenerate block.
-
-    ``block`` must be exactly one of ``degenerate_blocks(dec.coefficients)``
-    and ``u`` a unitary of matching size.  Left vectors transform as
-    ``l_a -> sum_b u[b, a] l_b`` and right vectors with the conjugate
-    matrix, which leaves the reconstructed state unchanged.
-    """
-    idx = tuple(int(a) for a in block)
-    blocks = degenerate_blocks(dec.coefficients)
-    if idx not in blocks:
-        raise InputError(f"{idx} is not a degenerate block of the coefficients (blocks: {blocks})")
-    mat = np.asarray(u, dtype=np.complex128)
-    k = len(idx)
-    if mat.shape != (k, k):
-        raise InputError(f"rotation must be {k}x{k} for block {idx}, got {mat.shape}")
-    unit_dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(k))))
-    if unit_dev > MATRIX_ATOL:
-        raise InputError(f"rotation deviates from unitary by {unit_dev:.3e}")
-    cols = list(idx)
-    new_l = dec.left.copy()
-    new_r = dec.right.copy()
-    new_l[:, cols] = dec.left[:, cols] @ mat
-    new_r[:, cols] = dec.right[:, cols] @ np.conj(mat)
-    return replace(dec, left=new_l, right=new_r)
 
 
 def decomposition_from_basis(

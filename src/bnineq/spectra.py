@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .tensor import DensityMatrix
+from .tensor import DensityMatrix, _lapack
 from .tolerances import CLIP_TOL, MATRIX_ATOL
 
 
@@ -43,17 +43,6 @@ def _as_square(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got array of shape {a.shape}")
     return a
-
-
-def _lapack(name: str, *args, **kwargs):
-    """``numpy.linalg.<name>(*args, **kwargs)``, with a convergence failure
-    raised as :class:`NumericalError`.  The function is looked up at call
-    time, so a tracer or test that patches ``numpy.linalg`` intercepts it."""
-    try:
-        return getattr(np.linalg, name)(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        what = "SVD" if name == "svd" else "eigensolver"
-        raise NumericalError(f"{what} failed to converge: {exc}") from exc
 
 
 def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:

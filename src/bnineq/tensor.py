@@ -1,5 +1,5 @@
-"""Multi-factor state vectors: index arithmetic, tensor products,
-factor permutations, and partial traces.
+"""Multi-factor state vectors: index arithmetic, factor permutations,
+and partial traces.
 
 Conventions used throughout the package:
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import InputError
+from .exceptions import InputError, NumericalError
 from .tolerances import CLIP_TOL, MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
 
@@ -57,13 +57,6 @@ class FactorShape:
     def total_dimension(self) -> int:
         return math.prod(self.dims)
 
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides: the weight of each factor in the linear index."""
-        strides = [1] * len(self.dims)
-        for k in range(len(self.dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.dims[k + 1]
-        return tuple(strides)
-
 
 def _check_positions(shape: FactorShape, positions, what: str) -> tuple[int, ...]:
     """Validate 1-based factor positions against a shape."""
@@ -88,12 +81,11 @@ def flatten_index(multi_index, shape: FactorShape) -> int:
         raise InputError(
             f"multi-index {idx} has {len(idx)} components, expected {shape.n_factors}"
         )
+    linear = 0
     for i, d in zip(idx, shape.dims):
         if not 0 <= i < d:
             raise InputError(f"index component {i} out of range for dimension {d}")
-    linear = 0
-    for i, w in zip(idx, shape.strides()):
-        linear += i * w
+        linear = linear * d + i
     return linear
 
 
@@ -146,20 +138,6 @@ class PureState:
         return self.amplitudes.reshape(self.shape.dims)
 
 
-def basis_state(shape: FactorShape, multi_index) -> PureState:
-    """The computational basis vector |i_1, ..., i_n>."""
-    amps = np.zeros(shape.total_dimension, dtype=np.complex128)
-    amps[flatten_index(multi_index, shape)] = 1.0
-    return PureState(shape, amps)
-
-
-def kron_state(a: PureState, b: PureState) -> PureState:
-    """Tensor product; the factors of ``a`` precede (are more significant
-    than) the factors of ``b``."""
-    shape = FactorShape(a.shape.dims + b.shape.dims)
-    return PureState(shape, np.kron(a.amplitudes, b.amplitudes))
-
-
 def permute_factors(psi: PureState, perm) -> PureState:
     """Reorder tensor factors.
 
@@ -177,6 +155,19 @@ def permute_factors(psi: PureState, perm) -> PureState:
     grid = psi.grid().transpose(axes)
     new_shape = FactorShape(tuple(psi.shape.dims[a] for a in axes))
     return PureState(new_shape, grid.reshape(-1))
+
+
+def _lapack(name: str, *args, **kwargs):
+    """``numpy.linalg.<name>(*args, **kwargs)``, with a convergence failure
+    raised as :class:`NumericalError`.  The function is looked up at call
+    time, so a tracer or test that patches ``numpy.linalg`` intercepts it.
+    It lives here so that :class:`DensityMatrix` and :mod:`bnineq.spectra`
+    share it."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        what = "SVD" if name == "svd" else "eigensolver"
+        raise NumericalError(f"{what} failed to converge: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,15 +193,11 @@ class DensityMatrix:
         trace_dev = abs(complex(np.trace(m)) - 1.0)
         if not trace_dev <= MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
-        lowest = float(np.min(np.linalg.eigvalsh(m)))
+        lowest = float(np.min(_lapack("eigvalsh", m)))
         if lowest < -CLIP_TOL:
             raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor -{CLIP_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def partial_trace(psi: PureState, keep) -> DensityMatrix:

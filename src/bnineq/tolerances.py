@@ -3,8 +3,7 @@
 Whether two Schmidt coefficients count as degenerate, and whether a
 decomposition counts as valid, decides whether the inequality is violated,
 so these numbers are part of the physics claim.  They live here, one line
-of reason each, and no function takes them as a keyword argument except
-``bn_gap(residual_tol=)``, which the CLI's ``check --tol`` sets.
+of reason each, and no function takes a tolerance keyword.
 
 Two relations must hold between the entries:
 
@@ -49,7 +48,7 @@ BLOCK_TOL = 1e-8
 MAXIMALLY_MIXED_ATOL = 1e-8
 
 #: bn_gap rejects decompositions whose verify_decomposition score exceeds
-#: this unless the caller overrides it.
+#: this.
 RESIDUAL_TOL = 1e-8
 
 #: Scanned decompositions must verify at least this well to be recorded.

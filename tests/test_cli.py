@@ -312,13 +312,6 @@ def test_exit_2_on_malformed_state_files(capsys, tmp_path):
     assert main(["check", "--input", str(two_factors)]) == 2
 
 
-def test_check_exit_2_on_non_finite_tol(capsys, tmp_path):
-    path = tmp_path / "canon.json"
-    save_state(canonical_counterexample(2).state, path)
-    for tol in ("nan", "inf"):
-        assert main(["check", "--input", str(path), "--tol", tol]) == 2
-
-
 def test_check_exit_2_on_bool_dims(capsys, tmp_path):
     path = tmp_path / "bool_dims.json"
     doc = state_to_document(haar_state(FactorShape((1, 2, 2, 2)), 3))

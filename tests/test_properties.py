@@ -17,9 +17,9 @@ from bnineq import (
     haar_state,
     haar_unitary,
     maximize_rhs,
-    rotate_block,
     schmidt_decompose,
 )
+from helpers import apply_freedom
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -82,10 +82,10 @@ def test_local_unitaries_leave_both_sides_unchanged(seed, dims):
 def test_phases_on_single_coefficient_blocks_leave_the_rhs_unchanged(seed, dims):
     dec = schmidt_decompose(haar_state(FactorShape(dims), seed), ADDITIVITY_SPLIT)
     phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(dec.rank))
-    rotated = dec
-    for block in degenerate_blocks(dec.coefficients):
-        if len(block) == 1:
-            rotated = rotate_block(rotated, block, phases[block[0]] * np.eye(1))
+    singles = [b[0] for b in degenerate_blocks(dec.coefficients) if len(b) == 1]
+    w = np.eye(dec.rank, dtype=np.complex128)
+    w[singles, singles] = phases[singles]
+    rotated = apply_freedom(dec, w)
     assert abs(bn_rhs(rotated) - bn_rhs(dec)) <= 1e-12
 
 

@@ -8,7 +8,6 @@ from bnineq import (
     InputError,
     PureState,
     SchmidtDecomposition,
-    basis_state,
     bell_basis,
     canonical_counterexample,
     decomposition_from_basis,
@@ -17,12 +16,11 @@ from bnineq import (
     haar_state,
     haar_unitary,
     hermitian_eigen,
-    kron_state,
     partial_trace,
-    rotate_block,
     schmidt_decompose,
     verify_decomposition,
 )
+from helpers import apply_freedom, basis_state, kron_state
 
 
 def random_state(dims, seed):
@@ -161,41 +159,26 @@ def test_degenerate_blocks_rejects_unsorted():
 # ------------------------------------------------------------------- rotate
 
 
-def test_rotate_block_identity_is_noop():
-    dec = schmidt_decompose(canonical_counterexample(2).state, ADDITIVITY_SPLIT)
-    same = rotate_block(dec, (0, 1, 2, 3), np.eye(4))
-    assert np.allclose(same.left, dec.left)
-    assert np.allclose(same.right, dec.right)
-
-
 def test_rotate_block_preserves_the_state():
     psi = canonical_counterexample(3).state
     dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
     block = degenerate_blocks(dec.coefficients)[0]
-    u = haar_unitary(len(block), 99)
-    rotated = rotate_block(dec, block, u)
+    w = np.eye(dec.rank, dtype=np.complex128)
+    w[np.ix_(block, block)] = haar_unitary(len(block), 99)
+    rotated = apply_freedom(dec, w)
     assert verify_decomposition(psi, rotated) < 1e-12
-    # rotations compose: applying u then its inverse restores the vectors
-    back = rotate_block(rotated, block, u.conj().T)
+    # rotations compose: applying w then its inverse restores the vectors
+    back = apply_freedom(rotated, w.conj().T)
     assert np.max(np.abs(back.left - dec.left)) < 1e-12
 
 
 def test_rotate_block_phase_freedom_on_singletons():
     state, dec = deformed_counterexample(2, 0.1)
     for index in range(dec.rank):
-        phase = np.exp(1j * (0.3 + index))
-        rotated = rotate_block(dec, (index,), np.array([[phase]]))
+        w = np.eye(dec.rank, dtype=np.complex128)
+        w[index, index] = np.exp(1j * (0.3 + index))
+        rotated = apply_freedom(dec, w)
         assert verify_decomposition(state.state, rotated) < 1e-12
-
-
-def test_rotate_block_input_errors():
-    dec = schmidt_decompose(canonical_counterexample(2).state, ADDITIVITY_SPLIT)
-    with pytest.raises(InputError):
-        rotate_block(dec, (0, 1), np.eye(2))  # not a block: true block is 0..3
-    with pytest.raises(InputError):
-        rotate_block(dec, (0, 1, 2, 3), np.ones((4, 4)))  # not unitary
-    with pytest.raises(InputError):
-        rotate_block(dec, (0, 1, 2, 3), np.eye(3))  # wrong size
 
 
 # -------------------------------------------------------------- from basis

@@ -10,6 +10,7 @@ from bnineq import (
     NumericalError,
     PureState,
     Spectrum,
+    canonical_counterexample,
     degenerate_blocks,
     entropy_from_eigenvalues,
     haar_unitary,
@@ -274,8 +275,23 @@ def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
             "eigvalsh",
             "eigensolver failed to converge",
         ),
+        (
+            lambda m: DensityMatrix(m, FactorShape((2,))),
+            np.eye(2) / 2,
+            "eigvalsh",
+            "eigensolver failed to converge",
+        ),
+        (
+            lambda psi: partial_trace(psi, (1, 3)),
+            canonical_counterexample(2).state,
+            "eigvalsh",
+            "eigensolver failed to converge",
+        ),
     ],
-    ids=["svd", "hermitian_eigen", "entanglement_entropy_grad", "von_neumann_entropy"],
+    ids=[
+        "svd", "hermitian_eigen", "entanglement_entropy_grad", "von_neumann_entropy",
+        "DensityMatrix", "partial_trace",
+    ],
 )
 def test_lapack_failures_raise_numerical_error(monkeypatch, function, argument, patched, message):
     def fail(*args, **kwargs):
