@@ -33,7 +33,6 @@ from .sampling import (
 from .schmidt import (
     BipartiteSplit,
     SchmidtDecomposition,
-    decomposition_from_basis,
     degenerate_blocks,
     schmidt_decompose,
     verify_decomposition,
@@ -77,7 +76,6 @@ __all__ = [
     "bn_lhs",
     "bn_rhs",
     "canonical_counterexample",
-    "decomposition_from_basis",
     "deformed_counterexample",
     "degenerate_blocks",
     "derive_seed",

@@ -16,10 +16,10 @@ The library computes every entropy in nats.  This module alone knows about
 bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 as the
 report is written, and nothing else.
 
-Exit codes: 0 on success, 2 on invalid input (bad arguments or malformed
-state files), 3 on numerical failure.  All numeric output is written with
-17 significant digits, so JSON and CSV payloads agree bit-for-bit after
-parsing.
+Exit codes: 0 on success, 2 on invalid input (bad arguments, malformed
+state files, an ``--output`` path that cannot be written), 3 on numerical
+failure.  All numeric output is written with 17 significant digits, so
+JSON and CSV payloads agree bit-for-bit after parsing.
 """
 
 from __future__ import annotations
@@ -263,9 +263,12 @@ def run_maximize(
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,19 +330,19 @@ def main(argv=None) -> int:
             doc = run_maximize(
                 args.input, args.dim, args.restarts, args.sweeps, args.seed, args.log_base
             )
+        if args.log_base == "2":
+            _rescale(doc, _ENTROPY_KEYS[args.command], 1.0 / math.log(2.0))
+        if args.format == "json":
+            text = _scan_json(doc) if args.command == "scan" else json.dumps(doc, indent=2)
+            _emit(text + "\n", args.output)
+        else:
+            _emit(_scan_csv(doc) if args.command == "scan" else _scalar_csv(doc), args.output)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.log_base == "2":
-        _rescale(doc, _ENTROPY_KEYS[args.command], 1.0 / math.log(2.0))
-    if args.format == "json":
-        text = _scan_json(doc) if args.command == "scan" else json.dumps(doc, indent=2)
-        _emit(text + "\n", args.output)
-    else:
-        _emit(_scan_csv(doc) if args.command == "scan" else _scalar_csv(doc), args.output)
     return 0
 
 

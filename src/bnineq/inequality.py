@@ -28,7 +28,6 @@ from .schmidt import (
     BipartiteSplit,
     _arranged,
     SchmidtDecomposition,
-    decomposition_from_basis,
     degenerate_blocks,
     schmidt_decompose,
     verify_decomposition,
@@ -140,9 +139,12 @@ def bn_gap(
 
 
 def _check_dim(d: int) -> int:
+    """A local dimension d >= 2 whose (d, d, d, d) shape the package
+    accepts, checked before any array of that size is allocated."""
     d = int(d)
     if d < 2:
         raise InputError(f"local dimension must be at least 2, got {d}")
+    FactorShape((d,) * 4)
     return d
 
 
@@ -178,25 +180,35 @@ def bell_basis(d: int) -> np.ndarray:
     return basis.reshape(d * d, d * d)
 
 
+def _conjugate_form(basis: np.ndarray, lam: np.ndarray) -> SchmidtDecomposition:
+    """The Schmidt form ``sum_a sqrt(lam_a) B_a (x) conj(B_a)`` across
+    {1,2} | {3,4}, with B_a the columns of the (d^2 x d^2) unitary ``basis``."""
+    d = math.isqrt(len(basis))
+    return SchmidtDecomposition(
+        ADDITIVITY_SPLIT, lam, basis, np.conj(basis), FactorShape((d, d, d, d))
+    )
+
+
 def product_decomposition(d: int) -> SchmidtDecomposition:
     """Schmidt form of the canonical state built from product vectors.
 
-    Every vector is unentangled, so the right-hand side of the inequality
-    evaluates to zero for this choice.
+    The canonical state is ``(1/d) sum_a B_a (x) conj(B_a)`` for every
+    unitary B; here B is the identity, so every vector is unentangled and
+    the right-hand side of the inequality evaluates to zero.
     """
-    state = canonical_counterexample(d).state
-    return decomposition_from_basis(state, ADDITIVITY_SPLIT, np.eye(d * d))
+    d = _check_dim(d)
+    return _conjugate_form(np.eye(d * d), np.full(d * d, 1.0 / (d * d)))
 
 
 def entangled_decomposition(d: int) -> SchmidtDecomposition:
     """Schmidt form of the canonical state built from Bell vectors.
 
-    Same state, same coefficients as :func:`product_decomposition`, but
-    every vector is maximally entangled, so the right-hand side evaluates
-    to 2 log d instead of zero.
+    Same state, same coefficients as :func:`product_decomposition`, with B
+    the :func:`bell_basis`: every vector is maximally entangled, so the
+    right-hand side evaluates to 2 log d instead of zero.
     """
-    state = canonical_counterexample(d).state
-    return decomposition_from_basis(state, ADDITIVITY_SPLIT, bell_basis(d))
+    d = _check_dim(d)
+    return _conjugate_form(bell_basis(d), np.full(d * d, 1.0 / (d * d)))
 
 
 def deformed_counterexample(
@@ -222,12 +234,9 @@ def deformed_counterexample(
     tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d
     lam = (1.0 + eps * tilt) / big_d
     lam = lam[::-1].copy()  # descending
-    left = bell_basis(d)
-    right = np.conj(left)
-    shape = FactorShape((d, d, d, d))
-    amps = (left * np.sqrt(lam)) @ right.T
-    state = FourFactorState(PureState.normalized(shape, amps))
-    dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
+    dec = _conjugate_form(bell_basis(d), lam)
+    amps = (dec.left * np.sqrt(lam)) @ dec.right.T
+    state = FourFactorState(PureState.normalized(dec.shape, amps))
     return state, dec
 
 

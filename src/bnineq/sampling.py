@@ -21,7 +21,7 @@ from .schmidt import (
 )
 from .tensor import FactorShape, PureState
 from .tolerances import (
-    MAX_SCAN_AMPLITUDES, SCAN_RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
+    MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -139,7 +139,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     Sample i uses the state ``haar_state(shape, derive_seed(master_seed,
     i))`` and its Schmidt decomposition across the {1,2} | {3,4} split.
     A sample whose decomposition fails to verify (score above
-    ``SCAN_RESIDUAL_TOL``) or whose evaluation raises a numerical error is
+    ``RESIDUAL_TOL``) or whose evaluation raises a numerical error is
     recorded with an error tag instead of aborting the scan.  Aggregates
     (min, max, mean gap and the count of gaps below
     ``VIOLATION_THRESHOLD``) cover the successful samples only.  A scan
@@ -188,8 +188,8 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
                     lhs[i], rhs[i] = bn_lhs(FourFactorState(psi)), bn_rhs(dec)
                 except NumericalError as exc:
                     errors[i] = str(exc)
-    for i in np.flatnonzero(~(score <= SCAN_RESIDUAL_TOL)).tolist():
-        message = f"decomposition verification score {score[i]:.3e} > {SCAN_RESIDUAL_TOL}"
+    for i in np.flatnonzero(~(score <= RESIDUAL_TOL)).tolist():
+        message = f"decomposition verification score {score[i]:.3e} > {RESIDUAL_TOL}"
         errors.setdefault(i, message)
     bad = list(errors)
     lhs[bad] = rhs[bad] = np.nan

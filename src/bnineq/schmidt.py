@@ -19,7 +19,7 @@ import numpy as np
 from . import spectra
 from .exceptions import InputError
 from .tensor import FactorShape, PureState
-from .tolerances import BLOCK_TOL, MATRIX_ATOL, MAXIMALLY_MIXED_ATOL
+from .tolerances import BLOCK_TOL, MATRIX_ATOL
 
 
 @dataclass(frozen=True)
@@ -222,43 +222,3 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     blocks.append(tuple(current))
     return tuple(blocks)
 
-
-def decomposition_from_basis(
-    psi: PureState, split: BipartiteSplit, basis
-) -> SchmidtDecomposition:
-    """Schmidt form with a chosen orthonormal basis as the left vectors.
-
-    Only applies when the left marginal of ``psi`` is maximally mixed
-    (entrywise within ``MAXIMALLY_MIXED_ATOL`` of I/D): then every
-    orthonormal basis of the left space serves as a family of Schmidt
-    vectors, all coefficients are 1/D, and each right vector is the
-    contraction of ``psi`` against the corresponding basis vector,
-    rescaled by sqrt(D).
-
-    Parameters
-    ----------
-    psi : PureState
-    split : BipartiteSplit
-    basis : array_like, (D x D)
-        Unitary whose columns are the basis of the left subspace, each in
-        the row-major order of the left factors taken in split order.
-    """
-    _check_split(psi.shape, split)
-    d_left = math.prod(_side_dims(psi.shape, split.left))
-    bmat = np.asarray(basis, dtype=np.complex128)
-    if bmat.shape != (d_left, d_left):
-        raise InputError(f"basis has array shape {bmat.shape}, expected {(d_left, d_left)}")
-    ortho_dev = float(np.max(np.abs(bmat.conj().T @ bmat - np.eye(d_left))))
-    if not ortho_dev <= MATRIX_ATOL:
-        raise InputError(f"basis deviates from orthonormal by {ortho_dev:.3e}")
-    m = _arranged(psi.amplitudes[None], psi.shape, split)[0]
-    mixed_dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d_left) / d_left)))
-    if mixed_dev > MAXIMALLY_MIXED_ATOL:
-        raise InputError(
-            f"left marginal deviates from maximally mixed by {mixed_dev:.3e}; "
-            "an arbitrary basis is not a Schmidt family for this state"
-        )
-    contractions = (bmat.conj().T @ m).T
-    rights = contractions / np.linalg.norm(contractions, axis=0)
-    lam = np.full(d_left, 1.0 / d_left)
-    return SchmidtDecomposition(split, lam, bmat, rights, psi.shape)

@@ -293,11 +293,13 @@ def load_state(path) -> PureState:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read state file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers too long to parse;
+        # RecursionError, nesting too deep for the decoder.
         raise InputError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dims" not in doc or "amplitudes" not in doc:
         raise InputError(f"state file {path} must be an object with 'dims' and 'amplitudes'")
@@ -323,7 +325,10 @@ def load_state(path) -> PureState:
             raise InputError(
                 f"state file {path}: amplitude {k} must be a [re, im] pair of numbers"
             )
-        amps[k] = complex(pair[0], pair[1])
+        try:
+            amps[k] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise InputError(f"state file {path}: amplitude {k} is out of range") from exc
     norm = float(np.linalg.norm(amps))
     if not (abs(norm - 1.0) <= STATE_FILE_NORM_ATOL):
         raise InputError(

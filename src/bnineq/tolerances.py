@@ -7,12 +7,12 @@ of reason each, and no function takes a tolerance keyword.
 
 Two relations must hold between the entries:
 
-* ``MAX_TOTAL_DIMENSION * eps < SCAN_RESIDUAL_TOL <= RESIDUAL_TOL`` (eps
-  the float64 machine epsilon).  ``schmidt_decompose`` keeps a term only
-  if its singular value exceeds ``s_max * max(D_L, D_R) * eps``, the
-  numerical rank of ``numpy.linalg.matrix_rank``.  The dropped tail then
-  has norm at most ``D_L * D_R * eps``, so an SVD decomposition of any
-  accepted state passes both residual gates.
+* ``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL`` (eps the float64 machine
+  epsilon).  ``schmidt_decompose`` keeps a term only if its singular
+  value exceeds ``s_max * max(D_L, D_R) * eps``, the numerical rank of
+  ``numpy.linalg.matrix_rank``.  The dropped tail then has norm at most
+  ``D_L * D_R * eps``, so an SVD decomposition of any accepted state
+  passes the one residual gate.
 * ``MATRIX_ATOL <= CLIP_TOL``.  Roundoff that a density matrix may carry
   in its Hermiticity and trace shifts its eigenvalues by about that much,
   so the eigenvalue floor must not be stricter than the matrix gates.
@@ -43,16 +43,10 @@ CLIP_TOL = 1e-10
 #: as degenerate, and so free to be mixed by a unitary.
 BLOCK_TOL = 1e-8
 
-#: A left marginal must be this close (entrywise) to maximally mixed for
-#: decomposition_from_basis to accept an arbitrary basis.
-MAXIMALLY_MIXED_ATOL = 1e-8
-
-#: bn_gap rejects decompositions whose verify_decomposition score exceeds
-#: this.
-RESIDUAL_TOL = 1e-8
-
-#: Scanned decompositions must verify at least this well to be recorded.
-SCAN_RESIDUAL_TOL = 1e-9
+#: A decomposition reproduces its state when its verify_decomposition
+#: score is at most this: bn_gap rejects one that scores more, and scan
+#: records such a sample as an error row.
+RESIDUAL_TOL = 1e-9
 
 #: Stacked evaluations hold at most this many complex entries per stack
 #: (1 MiB): scan's stacks of sample amplitudes and maximize_rhs's stacks of

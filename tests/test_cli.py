@@ -311,6 +311,39 @@ def test_exit_2_on_malformed_state_files(capsys, tmp_path):
     save_state(haar_state(FactorShape((2, 2)), 1), two_factors)
     assert main(["check", "--input", str(two_factors)]) == 2
 
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"dims": [2, 2, 2, 2], "amplitudes": "\xff"}')
+    assert main(["check", "--input", str(not_utf8)]) == 2
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--input", str(deep)]) == 2
+
+    # 400 digits overflow a float; 5000 exceed the integer parsing limit.
+    for digits, part in ((400, 0), (400, 1), (5000, 0)):
+        big = tmp_path / f"big_{digits}_{part}.json"
+        doc = state_to_document(canonical_counterexample(2).state)
+        doc["amplitudes"][0][part] = "BIG"
+        big.write_text(json.dumps(doc).replace('"BIG"', "1" * digits))
+        assert main(["check", "--input", str(big)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["counterexample"], ["deform", "--eps", "0.1"], ["maximize"]])
+def test_exit_2_on_an_oversized_dim(capsys, argv):
+    # The (d, d, d, d) shape is refused before any array of that size exists.
+    t0 = time.perf_counter()
+    assert main([*argv, "--dim", "1000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_exit_2_when_the_output_cannot_be_written(capsys, tmp_path):
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert main(["counterexample", "--dim", "2", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
 
 def test_check_exit_2_on_bool_dims(capsys, tmp_path):
     path = tmp_path / "bool_dims.json"

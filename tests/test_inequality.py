@@ -78,6 +78,15 @@ def test_canonical_rejects_dim_below_two():
         canonical_counterexample(1)
 
 
+def test_constructions_refuse_a_dim_past_the_size_limit():
+    # 32^4 amplitudes exceed MAX_TOTAL_DIMENSION; 31^4 do not.
+    for build in (canonical_counterexample, bell_basis, product_decomposition,
+                  entangled_decomposition, lambda d: deformed_counterexample(d, 0.1)):
+        with pytest.raises(InputError, match="exceeds the supported maximum"):
+            build(32)
+    assert bell_basis(31).shape == (31**2, 31**2)
+
+
 def test_four_factor_state_requires_four_factors():
     with pytest.raises(InputError):
         FourFactorState(haar_state(FactorShape((2, 2, 2)), 3))

@@ -161,6 +161,66 @@ def test_scan_isolates_a_failing_sample_in_its_stack(fail_svd_on):
     assert report.violation_count == np.count_nonzero(gaps < -1e-9)
 
 
+def test_scan_records_samples_that_fail_the_residual_gate(monkeypatch):
+    clean = scan(20, Q4, 3)
+    # The samples with the smallest and the largest gap fail the gate, so
+    # each aggregate shows whether they were left out.
+    low, high = int(np.argmin(clean.gap)), int(np.argmax(clean.gap))
+    assert clean.gap[low] < -1e-9
+    verify = bnineq.sampling._verify_stack
+
+    def scores(*args):
+        score = verify(*args)  # one stack holds all 20 samples
+        score[[low, high]] = 1e-6, np.nan
+        return score
+
+    monkeypatch.setattr(bnineq.sampling, "_verify_stack", scores)
+    report = scan(20, Q4, 3)
+    assert sorted(report.errors) == sorted([low, high])
+    assert all("verification score" in m for m in report.errors.values())
+    bad = np.isin(np.arange(20), [low, high])
+    for name in ("lhs", "rhs", "gap"):
+        assert np.all(np.isnan(getattr(report, name)[bad]))
+        assert np.array_equal(getattr(report, name)[~bad], getattr(clean, name)[~bad])
+    gaps = clean.gap[~bad]
+    assert (report.min_gap, report.max_gap) == (gaps.min(), gaps.max())
+    assert report.mean_gap == np.mean(gaps)
+    assert report.violation_count == np.count_nonzero(gaps < -1e-9)
+    assert report.violation_count == clean.violation_count - 1
+
+
+def page_entropy(m, n):
+    """Mean entanglement entropy of a Haar-random state on C^m (x) C^n
+    (Page, PRL 71, 1291, 1993)."""
+    m, n = sorted((m, n))
+    return sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
+
+
+@pytest.mark.parametrize(
+    "dims,n_samples,seed",
+    [
+        ((2, 2, 2, 2), 4000, 1),
+        ((2, 3, 2, 3), 2000, 2),
+        ((3, 2, 3, 2), 2000, 3),
+        ((2, 2, 3, 3), 2000, 4),
+        ((3, 3, 3, 3), 600, 5),
+        ((2, 3, 4, 2), 1500, 6),
+    ],
+)
+def test_scan_means_match_page_formula(dims, n_samples, seed):
+    # The lhs is the entanglement entropy across {1,3} | {2,4}.  The SVD
+    # Schmidt vectors of a Haar state are Haar-random on their side and
+    # independent of the coefficients, so the mean rhs is a sum of two
+    # Page entropies.
+    d1, d2, d3, d4 = dims
+    report = scan(n_samples, FactorShape(dims), seed)
+    lhs = page_entropy(d1 * d3, d2 * d4)
+    rhs = page_entropy(d1, d2) + page_entropy(d3, d4)
+    for values, expected in ((report.lhs, lhs), (report.rhs, rhs), (report.gap, lhs - rhs)):
+        se = values.std(ddof=1) / np.sqrt(values.size)
+        assert abs(values.mean() - expected) < 5.0 * se
+
+
 def test_scan_is_reproducible():
     a = scan(50, Q4, 99)
     b = scan(50, Q4, 99)

@@ -10,13 +10,14 @@ from bnineq import (
     SchmidtDecomposition,
     bell_basis,
     canonical_counterexample,
-    decomposition_from_basis,
     deformed_counterexample,
     degenerate_blocks,
+    entangled_decomposition,
     haar_state,
     haar_unitary,
     hermitian_eigen,
     partial_trace,
+    product_decomposition,
     schmidt_decompose,
     verify_decomposition,
 )
@@ -182,10 +183,12 @@ def test_rotate_block_phase_freedom_on_singletons():
 
 
 # -------------------------------------------------------------- from basis
+# The canonical state is (1/d) sum_a B_a (x) conj(B_a) for every unitary B,
+# so each B gives a Schmidt form (1/d^2, B, conj B).
 
 
 def test_from_basis_product_vectors():
-    dec = decomposition_from_basis(canonical_counterexample(2).state, ADDITIVITY_SPLIT, np.eye(4))
+    dec = product_decomposition(2)
     assert np.allclose(dec.coefficients, [0.25] * 4, atol=1e-15)
     # right vectors mirror the product basis exactly for this state
     for a, vec in enumerate(dec.right.T):
@@ -197,39 +200,19 @@ def test_from_basis_product_vectors():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_from_basis_bell_vectors_conjugate(d):
-    basis = bell_basis(d)
-    dec = decomposition_from_basis(
-        canonical_counterexample(d).state, ADDITIVITY_SPLIT, basis
-    )
-    assert np.max(np.abs(dec.right - np.conj(basis))) < 1e-10
+    dec = entangled_decomposition(d)
+    assert np.max(np.abs(dec.right - np.conj(bell_basis(d)))) < 1e-10
     assert verify_decomposition(canonical_counterexample(d).state, dec) < 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_from_basis_accepts_any_rotated_basis(d):
-    # The canonical state's left marginal is maximally mixed, so every
-    # orthonormal basis gives a valid Schmidt family.
     psi = canonical_counterexample(d).state
+    lam = np.full(d * d, 1.0 / (d * d))
     for seed in range(10):
-        dec = decomposition_from_basis(psi, ADDITIVITY_SPLIT, haar_unitary(d * d, 2000 + seed))
+        u = haar_unitary(d * d, 2000 + seed)
+        dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, u, np.conj(u), psi.shape)
         assert verify_decomposition(psi, dec) < 1e-9
-
-
-def test_from_basis_rejects_generic_states():
-    psi = random_state((2, 2, 2, 2), 31)  # left marginal not maximally mixed
-    with pytest.raises(InputError):
-        decomposition_from_basis(psi, ADDITIVITY_SPLIT, np.eye(4))
-
-
-def test_from_basis_rejects_bad_bases():
-    psi = canonical_counterexample(2).state
-    with_nan = np.eye(4, dtype=np.complex128)
-    with_nan[2, 1] = np.nan
-    duplicated = np.eye(4)
-    duplicated[:, 1] = duplicated[:, 0]  # not orthonormal
-    for basis in (np.eye(4)[:, :3], with_nan, duplicated):
-        with pytest.raises(InputError):
-            decomposition_from_basis(psi, ADDITIVITY_SPLIT, basis)
 
 
 # ---------------------------------------------------------------- structure
