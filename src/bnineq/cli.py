@@ -13,13 +13,14 @@ Subcommands map onto the library's main entry points:
   right-hand side.
 
 The library computes every entropy in nats.  This module alone knows about
-bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 as the
-report is written, and nothing else.
+bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 where the
+report builds that field, and nothing else.
 
 Exit codes: 0 on success, 2 on invalid input (bad arguments, malformed
-state files, an ``--output`` path that cannot be written), 3 on numerical
-failure.  All numeric output is written with 17 significant digits, so
-JSON and CSV payloads agree bit-for-bit after parsing.
+state files, an ``--output`` path that cannot be written, a decomposition
+that fails the residual gate of :func:`bn_gap`), 3 on numerical failure.
+The CSV writes 17 significant digits and the JSON the shortest repr that
+round-trips, so both parse back to the same doubles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .inequality import (
     ADDITIVITY_SPLIT,
     FourFactorState,
     bn_gap,
-    bn_lhs,
     bn_rhs,
     canonical_counterexample,
     deformed_counterexample,
@@ -45,37 +45,13 @@ from .inequality import (
     product_decomposition,
 )
 from .sampling import scan
-from .schmidt import degenerate_blocks, schmidt_decompose, verify_decomposition
+from .schmidt import degenerate_blocks, schmidt_decompose
 from .tensor import FactorShape, load_state
 
 
 def _fmt(x: float) -> str:
     """17 significant digits: enough to reproduce the double exactly."""
     return format(float(x), ".17g")
-
-
-#: The entropy fields of each command's report, in nats until ``--log-base
-#: 2`` multiplies them by 1/ln 2, in the report and in the rows of its lists.
-_ENTROPY_KEYS = {
-    "counterexample": {
-        "lhs", "rhs_product", "rhs_entangled", "gap_entangled", "theoretical_entangled_rhs",
-    },
-    "deform": {"lhs", "rhs", "gap"},
-    "scan": {"lhs", "rhs", "gap", "min_gap", "max_gap", "mean_gap"},
-    "check": {"lhs", "rhs", "gap"},
-    "maximize": {"initial_rhs", "best_rhs", "lhs", "gap"},
-}
-
-
-def _rescale(doc: dict, keys: set, factor: float) -> None:
-    """Multiply the fields of ``doc`` named in ``keys`` by ``factor``, in place."""
-    for key, value in doc.items():
-        if key in keys:
-            doc[key] = value * factor
-        elif isinstance(value, list):
-            for row in value:
-                if isinstance(row, dict):
-                    _rescale(row, keys, factor)
 
 
 def _csv_cell(value) -> str:
@@ -143,27 +119,25 @@ def _scan_json(doc: dict) -> str:
     return f'{head}"samples": [\n{rows}\n  ]{tail}'
 
 
-def run_counterexample(dim: int, log_base: str) -> dict:
+def run_counterexample(dim: int, log_base: str, unit: float) -> dict:
     s = canonical_counterexample(dim)
-    product = product_decomposition(dim)
-    entangled = entangled_decomposition(dim)
-    lhs = bn_lhs(s)
-    rhs_entangled = bn_rhs(entangled)
+    product = bn_gap(s, product_decomposition(dim), source="product")
+    entangled = bn_gap(s, entangled_decomposition(dim), source="entangled")
     return {
         "command": "counterexample",
         "dim": dim,
         "log_base": log_base,
-        "lhs": lhs,
-        "rhs_product": bn_rhs(product),
-        "rhs_entangled": rhs_entangled,
-        "gap_entangled": lhs - rhs_entangled,
-        "theoretical_entangled_rhs": 2.0 * math.log(dim),
-        "residual_product": verify_decomposition(s.state, product),
-        "residual_entangled": verify_decomposition(s.state, entangled),
+        "lhs": entangled.lhs * unit,
+        "rhs_product": product.rhs * unit,
+        "rhs_entangled": entangled.rhs * unit,
+        "gap_entangled": entangled.gap * unit,
+        "theoretical_entangled_rhs": 2.0 * math.log(dim) * unit,
+        "residual_product": product.residual,
+        "residual_entangled": entangled.residual,
     }
 
 
-def run_deform(dim: int, eps: float, log_base: str) -> dict:
+def run_deform(dim: int, eps: float, log_base: str, unit: float) -> dict:
     state, dec = deformed_counterexample(dim, eps)
     report = bn_gap(state, dec, source="deformed", descriptor=f"deformed dim={dim} eps={eps}")
     blocks = degenerate_blocks(dec.coefficients)
@@ -172,29 +146,29 @@ def run_deform(dim: int, eps: float, log_base: str) -> dict:
         "dim": dim,
         "eps": eps,
         "log_base": log_base,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
+        "lhs": report.lhs * unit,
+        "rhs": report.rhs * unit,
+        "gap": report.gap * unit,
         "unique_spectrum": all(len(b) == 1 for b in blocks),
         "coefficients": [float(x) for x in dec.coefficients],
     }
 
 
-def run_scan(dim: int, samples: int, seed: int) -> dict:
+def run_scan(dim: int, samples: int, seed: int, unit: float) -> dict:
     report = scan(samples, FactorShape((dim, dim, dim, dim)), seed)
     if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
     ok = np.delete(np.arange(report.n_samples), list(report.errors))
-    arrays = (report.seeds, report.lhs, report.rhs, report.gap)
+    arrays = (report.seeds, report.lhs * unit, report.rhs * unit, report.gap * unit)
     values = zip(ok.tolist(), *(a[ok].tolist() for a in arrays))
     return {
         "command": "scan",
         "n_samples": report.n_samples,
         "shape": list(report.shape.dims),
         "master_seed": report.master_seed,
-        "min_gap": report.min_gap,
-        "max_gap": report.max_gap,
-        "mean_gap": report.mean_gap,
+        "min_gap": report.min_gap * unit,
+        "max_gap": report.max_gap * unit,
+        "mean_gap": report.mean_gap * unit,
         "violation_count": report.violation_count,
         "samples": [
             {"sample_index": i, "derived_seed": k, "lhs": a, "rhs": b, "gap": g}
@@ -207,19 +181,18 @@ def run_scan(dim: int, samples: int, seed: int) -> dict:
     }
 
 
-def run_check(input_path: str, log_base: str) -> dict:
-    psi = load_state(input_path)
-    s = FourFactorState(psi)
-    dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
+def run_check(input_path: str, log_base: str, unit: float) -> dict:
+    s = FourFactorState(load_state(input_path))
+    dec = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
     report = bn_gap(s, dec, source="svd", descriptor=f"state file {input_path}")
     return {
         "command": "check",
         "input": input_path,
         "log_base": log_base,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
-        "residual": verify_decomposition(psi, dec),
+        "lhs": report.lhs * unit,
+        "rhs": report.rhs * unit,
+        "gap": report.gap * unit,
+        "residual": report.residual,
         "decomposition_source": report.decomposition_source,
         "coefficients": [float(x) for x in dec.coefficients],
     }
@@ -232,6 +205,7 @@ def run_maximize(
     sweeps: int,
     seed: int,
     log_base: str,
+    unit: float,
 ) -> dict:
     if (input_path is None) == (dim is None):
         raise InputError("maximize needs exactly one of --input or --dim")
@@ -251,10 +225,10 @@ def run_maximize(
         "restarts": restarts,
         "sweeps": sweeps,
         "seed": seed,
-        "initial_rhs": initial_rhs,
-        "best_rhs": report.rhs,
-        "lhs": report.lhs,
-        "gap": report.gap,
+        "initial_rhs": initial_rhs * unit,
+        "best_rhs": report.rhs * unit,
+        "lhs": report.lhs * unit,
+        "gap": report.gap * unit,
         "blocks": [list(b) for b in degenerate_blocks(dec.coefficients)],
         "search": report.state_descriptor,
     }
@@ -317,21 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unit = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0)
     try:
         if args.command == "counterexample":
-            doc = run_counterexample(args.dim, args.log_base)
+            doc = run_counterexample(args.dim, args.log_base, unit)
         elif args.command == "deform":
-            doc = run_deform(args.dim, args.eps, args.log_base)
+            doc = run_deform(args.dim, args.eps, args.log_base, unit)
         elif args.command == "scan":
-            doc = run_scan(args.dim, args.samples, args.seed)
+            doc = run_scan(args.dim, args.samples, args.seed, unit)
         elif args.command == "check":
-            doc = run_check(args.input, args.log_base)
+            doc = run_check(args.input, args.log_base, unit)
         else:
             doc = run_maximize(
-                args.input, args.dim, args.restarts, args.sweeps, args.seed, args.log_base
+                args.input, args.dim, args.restarts, args.sweeps, args.seed, args.log_base, unit
             )
-        if args.log_base == "2":
-            _rescale(doc, _ENTROPY_KEYS[args.command], 1.0 / math.log(2.0))
         if args.format == "json":
             text = _scan_json(doc) if args.command == "scan" else json.dumps(doc, indent=2)
             _emit(text + "\n", args.output)

@@ -64,15 +64,16 @@ class FourFactorState:
 class GapReport:
     """One evaluation of the inequality: lhs, rhs, and gap = lhs - rhs, in nats.
 
-    ``gap < 0`` certifies a violation for the decomposition used.
-    ``decomposition_source`` records where that decomposition came from
-    (one of svd, product, entangled, deformed, rotated, custom) and
-    ``state_descriptor`` is free text describing the state.
+    ``gap < 0`` certifies a violation for the decomposition used, and
+    ``residual`` is its verification score, which :func:`bn_gap` gated on.
+    ``decomposition_source`` names its origin (svd, product, entangled,
+    deformed, rotated or custom); ``state_descriptor`` describes the state.
     """
 
     lhs: float
     rhs: float
     gap: float
+    residual: float
     decomposition_source: str
     state_descriptor: str
 
@@ -135,7 +136,7 @@ def bn_gap(
         )
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)
-    return GapReport(lhs, rhs, lhs - rhs, source, descriptor)
+    return GapReport(lhs, rhs, lhs - rhs, score, source, descriptor)
 
 
 def _check_dim(d: int) -> int:

@@ -1,22 +1,30 @@
 import json
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bnineq
 from bnineq import (
+    ADDITIVITY_SPLIT,
     FactorShape,
+    FourFactorState,
     NumericalError,
     PureState,
+    bn_gap,
     canonical_counterexample,
     deformed_counterexample,
+    entangled_decomposition,
     haar_state,
+    load_state,
     save_state,
+    schmidt_decompose,
     state_to_document,
+    verify_decomposition,
 )
-from bnineq.cli import _ENTROPY_KEYS, _rescale, _scan_json, main, run_scan
+from bnineq.cli import _scan_json, main, run_scan
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -85,6 +93,17 @@ def test_check_on_the_canonical_state(capsys, tmp_path):
     assert doc["residual"] < 1e-9
     assert doc["decomposition_source"] == "svd"
     assert np.allclose(doc["coefficients"], [0.25] * 4, atol=1e-10)
+
+
+def test_check_prints_the_residual_that_bn_gap_gated_on(capsys, tmp_path):
+    path = tmp_path / "haar.json"
+    save_state(haar_state(FactorShape((2, 3, 2, 3)), 5), path)
+    code, doc = run_json(capsys, ["check", "--input", str(path)])
+    assert code == 0
+    psi = load_state(path)
+    dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
+    assert doc["residual"] == bn_gap(FourFactorState(psi), dec).residual
+    assert doc["residual"] == verify_decomposition(psi, dec)
 
 
 def test_maximize_from_dim(capsys):
@@ -337,6 +356,18 @@ def test_exit_2_on_an_oversized_dim(capsys, argv):
     assert "exceeds the supported maximum" in capsys.readouterr().err
 
 
+def test_counterexample_exit_2_when_a_decomposition_fails_the_residual_gate(capsys, monkeypatch):
+    def broken(d):
+        dec = entangled_decomposition(d)
+        return replace(dec, right=np.eye(d * d, dtype=dec.right.dtype))
+
+    monkeypatch.setattr(bnineq.cli, "entangled_decomposition", broken)
+    assert main(["counterexample", "--dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not reproduce the state" in captured.err
+
+
 def test_exit_2_when_the_output_cannot_be_written(capsys, tmp_path):
     for target in (tmp_path, tmp_path / "missing" / "report.json"):
         assert main(["counterexample", "--dim", "2", "--output", str(target)]) == 2
@@ -396,17 +427,15 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("log_base", ["e", "2"])
-def test_scan_json_writer_matches_the_json_encoder(dim, log_base):
-    doc = run_scan(dim, 30, 7)
-    if log_base == "2":
-        _rescale(doc, _ENTROPY_KEYS["scan"], 1.0 / np.log(2.0))
+@pytest.mark.parametrize("unit", [1.0, 1.0 / LN2], ids=["e", "2"])
+def test_scan_json_writer_matches_the_json_encoder(dim, unit):
+    doc = run_scan(dim, 30, 7, unit)
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 
 
 def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
     fail_svd_on(haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes)
-    doc = run_scan(2, 20, 3)
+    doc = run_scan(2, 20, 3, 1.0)
     assert [row["sample_index"] for row in doc["errors"]] == [7]
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 

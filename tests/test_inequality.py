@@ -242,6 +242,7 @@ def test_rhs_invariant_under_singleton_phases():
 def test_gap_certificate_for_the_canonical_family():
     s = canonical_counterexample(2)
     report = bn_gap(s, entangled_decomposition(2), source="entangled")
+    assert report.residual == verify_decomposition(s.state, entangled_decomposition(2))
     assert report.lhs < 1e-10
     assert abs(report.rhs - TWO_LN_TWO) < 1e-9
     assert abs(report.gap + TWO_LN_TWO) < 1e-9
@@ -262,6 +263,7 @@ def test_gap_with_product_decomposition_is_zero():
     s = canonical_counterexample(2)
     report = bn_gap(s, product_decomposition(2), source="product")
     assert abs(report.gap) < 1e-9
+    assert report.residual == verify_decomposition(s.state, product_decomposition(2))
 
 
 def test_gap_requires_matching_decomposition():
@@ -276,6 +278,7 @@ def test_gap_on_random_state_with_svd_decomposition():
     s = FourFactorState(psi)
     dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
     report = bn_gap(s, dec, source="svd")
+    assert report.residual == verify_decomposition(psi, dec)
     assert np.isfinite(report.gap)
     assert report.lhs >= -1e-10 and report.rhs >= -1e-10
 
@@ -300,6 +303,7 @@ def test_deformed_state_recovers_its_spectrum_under_svd():
 def test_deformed_gap_stays_negative(eps):
     state, dec = deformed_counterexample(2, eps)
     report = bn_gap(state, dec, source="deformed")
+    assert report.residual == verify_decomposition(state.state, dec)
     assert report.gap < -1.0  # far below zero, not marginal
     assert abs(report.rhs - TWO_LN_TWO) < 1e-9
 
