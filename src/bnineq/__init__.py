@@ -39,20 +39,16 @@ from .schmidt import (
 )
 from .spectra import (
     Spectrum,
-    entropy_from_eigenvalues,
     hermitian_eigen,
-    svd,
     von_neumann_entropy,
 )
 from .tensor import (
     DensityMatrix,
     FactorShape,
     PureState,
-    flatten_index,
     load_state,
     partial_trace,
     partial_trace_naive,
-    permute_factors,
     save_state,
     state_to_document,
 )
@@ -80,8 +76,6 @@ __all__ = [
     "degenerate_blocks",
     "derive_seed",
     "entangled_decomposition",
-    "entropy_from_eigenvalues",
-    "flatten_index",
     "haar_state",
     "haar_unitary",
     "hermitian_eigen",
@@ -89,13 +83,11 @@ __all__ = [
     "maximize_rhs",
     "partial_trace",
     "partial_trace_naive",
-    "permute_factors",
     "product_decomposition",
     "save_state",
     "scan",
     "schmidt_decompose",
     "state_to_document",
-    "svd",
     "verify_decomposition",
     "von_neumann_entropy",
 ]

@@ -154,7 +154,7 @@ def run_deform(dim: int, eps: float, log_base: str, unit: float) -> dict:
     }
 
 
-def run_scan(dim: int, samples: int, seed: int, unit: float) -> dict:
+def run_scan(dim: int, samples: int, seed: int, log_base: str, unit: float) -> dict:
     report = scan(samples, FactorShape((dim, dim, dim, dim)), seed)
     if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
@@ -166,6 +166,7 @@ def run_scan(dim: int, samples: int, seed: int, unit: float) -> dict:
         "n_samples": report.n_samples,
         "shape": list(report.shape.dims),
         "master_seed": report.master_seed,
+        "log_base": log_base,
         "min_gap": report.min_gap * unit,
         "max_gap": report.max_gap * unit,
         "mean_gap": report.mean_gap * unit,
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         elif args.command == "deform":
             doc = run_deform(args.dim, args.eps, args.log_base, unit)
         elif args.command == "scan":
-            doc = run_scan(args.dim, args.samples, args.seed, unit)
+            doc = run_scan(args.dim, args.samples, args.seed, args.log_base, unit)
         elif args.command == "check":
             doc = run_check(args.input, args.log_base, unit)
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import InputError, NumericalError
 from .tensor import DensityMatrix, _lapack
-from .tolerances import CLIP_TOL, MATRIX_ATOL
+from .tolerances import MATRIX_ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,23 +78,25 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _shannon(p: np.ndarray) -> np.ndarray:
     """Clipped Shannon sum in nats over the last axis of ``p`` (see
-    :func:`entropy_from_eigenvalues` for the clipping policy)."""
+    :func:`entropy_from_eigenvalues` for the clipping policy), clamped at
+    0 so that roundoff on a pure spectrum never gives a negative entropy."""
     lowest = float(p.min()) if p.size else 0.0
-    if not lowest >= -CLIP_TOL:
+    if not lowest >= -MATRIX_ATOL:
         raise NumericalError(
-            f"eigenvalue {lowest:.3e} below -{CLIP_TOL}; refusing to clip it silently"
+            f"eigenvalue {lowest:.3e} below -{MATRIX_ATOL}; refusing to clip it silently"
         )
     p = np.where(p > 0.0, p, 0.0)
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0
+    return np.maximum(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1), 0.0)
 
 
 def entropy_from_eigenvalues(values) -> float:
     """Shannon entropy in nats of a probability vector given as raw eigenvalues.
 
-    Applies the package clipping policy: values in ``[-CLIP_TOL, 0)``
-    become 0, values below ``-CLIP_TOL`` raise :class:`NumericalError`
+    Applies the package clipping policy: values in ``[-MATRIX_ATOL, 0)``
+    become 0, values below ``-MATRIX_ATOL`` raise :class:`NumericalError`
     because they signal an invalid matrix upstream.  The ``p = 0`` terms
-    contribute zero.  NaN or inf raises :class:`InputError`.
+    contribute zero, and the sum is clamped at 0.  NaN or inf raises
+    :class:`InputError`.
     """
     p = np.asarray(values, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(p)):

@@ -1,5 +1,4 @@
-"""Multi-factor state vectors: index arithmetic, factor permutations,
-and partial traces.
+"""Multi-factor state vectors, factor permutations and partial traces.
 
 Conventions used throughout the package:
 
@@ -9,7 +8,8 @@ Conventions used throughout the package:
   splits) uses this 1-based numbering.
 * Amplitudes are stored row-major with factor 1 most significant: the
   linear index of the multi-index (i_1, ..., i_n) on dimensions
-  (d_1, ..., d_n) is i_1*d_2*...*d_n + i_2*d_3*...*d_n + ... + i_n.
+  (d_1, ..., d_n) is i_1*d_2*...*d_n + i_2*d_3*...*d_n + ... + i_n, the
+  order of ``numpy.ravel_multi_index``.
 * Basis labels inside a single factor are 0-based (0 .. d-1).
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .tolerances import CLIP_TOL, MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
+from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
 
 @dataclass(frozen=True)
@@ -69,24 +69,6 @@ def _check_positions(shape: FactorShape, positions, what: str) -> tuple[int, ...
     if len(set(pos)) != len(pos):
         raise InputError(f"{what} positions contain duplicates: {pos}")
     return pos
-
-
-def flatten_index(multi_index, shape: FactorShape) -> int:
-    """Map a multi-index to its row-major linear index.
-
-    Example: (1, 0, 1, 0) on dimensions (2, 2, 2, 2) maps to 10.
-    """
-    idx = tuple(int(i) for i in multi_index)
-    if len(idx) != shape.n_factors:
-        raise InputError(
-            f"multi-index {idx} has {len(idx)} components, expected {shape.n_factors}"
-        )
-    linear = 0
-    for i, d in zip(idx, shape.dims):
-        if not 0 <= i < d:
-            raise InputError(f"index component {i} out of range for dimension {d}")
-        linear = linear * d + i
-    return linear
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -144,7 +126,8 @@ def permute_factors(psi: PureState, perm) -> PureState:
     ``perm`` lists source positions: the factor at result position p is the
     source factor ``perm[p]`` (1-based).  Pure reindexing, so amplitudes are
     moved bit-exactly and applying the inverse permutation restores the
-    input exactly.
+    input exactly.  No package code calls it; it stays only because the
+    benchmark tracer (``bench/tracer.py``, ``LAYERS``) names it.
     """
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(1, psi.shape.n_factors + 1)):
@@ -194,8 +177,8 @@ class DensityMatrix:
         if not trace_dev <= MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
         lowest = float(np.min(_lapack("eigvalsh", m)))
-        if lowest < -CLIP_TOL:
-            raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor -{CLIP_TOL}")
+        if not lowest >= -MATRIX_ATOL:
+            raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor -{MATRIX_ATOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -255,7 +238,7 @@ def partial_trace_naive(psi: PureState, keep) -> DensityMatrix:
             full[a] = i
         for a, i in zip(traced, traced_part):
             full[a] = i
-        return flatten_index(full, psi.shape)
+        return int(np.ravel_multi_index(full, psi.shape.dims))
 
     rho = np.zeros((n_keep, n_keep), dtype=np.complex128)
     kept_range = list(itertools.product(*[range(d) for d in kept_dims]))

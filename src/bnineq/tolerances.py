@@ -5,17 +5,13 @@ decomposition counts as valid, decides whether the inequality is violated,
 so these numbers are part of the physics claim.  They live here, one line
 of reason each, and no function takes a tolerance keyword.
 
-Two relations must hold between the entries:
-
-* ``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL`` (eps the float64 machine
-  epsilon).  ``schmidt_decompose`` keeps a term only if its singular
-  value exceeds ``s_max * max(D_L, D_R) * eps``, the numerical rank of
-  ``numpy.linalg.matrix_rank``.  The dropped tail then has norm at most
-  ``D_L * D_R * eps``, so an SVD decomposition of any accepted state
-  passes the one residual gate.
-* ``MATRIX_ATOL <= CLIP_TOL``.  Roundoff that a density matrix may carry
-  in its Hermiticity and trace shifts its eigenvalues by about that much,
-  so the eigenvalue floor must not be stricter than the matrix gates.
+One relation must hold between the entries:
+``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL`` (eps the float64 machine
+epsilon).  ``schmidt_decompose`` keeps a term only if its singular value
+exceeds ``s_max * max(D_L, D_R) * eps``, the numerical rank of
+``numpy.linalg.matrix_rank``.  The dropped tail then has norm at most
+``D_L * D_R * eps``, so an SVD decomposition of any accepted state passes
+the one residual gate.
 """
 
 #: Hard cap on the total dimension of any state handled by the package.
@@ -31,13 +27,10 @@ STATE_FILE_NORM_ATOL = 1e-9
 
 #: Roundoff allowed in a matrix built from unit vectors: deviation from
 #: Hermitian, from unit trace or coefficient sum, and from unitary or
-#: orthonormal.
+#: orthonormal.  It is also the eigenvalue floor: density-matrix eigenvalues
+#: in [-MATRIX_ATOL, 0) are roundoff, which DensityMatrix accepts and the
+#: entropy functions clip to zero; anything more negative is rejected by both.
 MATRIX_ATOL = 1e-10
-
-#: Density-matrix eigenvalues in [-CLIP_TOL, 0) are roundoff: DensityMatrix
-#: accepts them and the entropy functions clip them to zero.  Anything more
-#: negative is rejected by both.
-CLIP_TOL = 1e-10
 
 #: Relative gap under which neighbouring Schmidt coefficients are treated
 #: as degenerate, and so free to be mixed by a unitary.

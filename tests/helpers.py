@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from bnineq import FactorShape, PureState, SchmidtDecomposition, flatten_index
+from bnineq import FactorShape, PureState, SchmidtDecomposition
 
 
 def basis_state(shape: FactorShape, multi_index) -> PureState:
     """The computational basis vector |i_1, ..., i_n>."""
     amps = np.zeros(shape.total_dimension, dtype=np.complex128)
-    amps[flatten_index(multi_index, shape)] = 1.0
+    amps[np.ravel_multi_index(multi_index, shape.dims)] = 1.0
     return PureState(shape, amps)
 
 

@@ -286,8 +286,7 @@ def test_log_base_two_rescales_only_the_entropy_fields(capsys, tmp_path, argv):
     _, nats = run_json(capsys, argv)
     code, bits = run_json(capsys, argv + ["--log-base", "2"])
     assert code == 0
-    if "log_base" in nats:
-        assert (nats["log_base"], bits["log_base"]) == ("e", "2")
+    assert (nats["log_base"], bits["log_base"]) == ("e", "2")
     assert ENTROPY_FIELDS & nats.keys()
     assert_bits_match_nats(nats, bits)
 
@@ -427,15 +426,15 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("unit", [1.0, 1.0 / LN2], ids=["e", "2"])
-def test_scan_json_writer_matches_the_json_encoder(dim, unit):
-    doc = run_scan(dim, 30, 7, unit)
+@pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", 1.0 / LN2)], ids=["e", "2"])
+def test_scan_json_writer_matches_the_json_encoder(dim, log_base, unit):
+    doc = run_scan(dim, 30, 7, log_base, unit)
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 
 
 def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
     fail_svd_on(haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes)
-    doc = run_scan(2, 20, 3, 1.0)
+    doc = run_scan(2, 20, 3, "e", 1.0)
     assert [row["sample_index"] for row in doc["errors"]] == [7]
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 

@@ -20,7 +20,6 @@ from bnineq import (
     degenerate_blocks,
     derive_seed,
     entangled_decomposition,
-    flatten_index,
     haar_state,
     haar_unitary,
     maximize_rhs,
@@ -146,7 +145,7 @@ def loop_canonical_amplitudes(d):
     amps = np.zeros(shape.total_dimension, dtype=np.complex128)
     for i in range(d):
         for k in range(d):
-            amps[flatten_index((i, k, i, k), shape)] = 1.0 / d
+            amps[np.ravel_multi_index((i, k, i, k), shape.dims)] = 1.0 / d
     return amps
 
 

@@ -59,8 +59,8 @@ def test_both_sides_stay_within_their_bounds(seed, dims):
     s = FourFactorState(haar_state(FactorShape(dims), seed))
     lhs = bn_lhs(s)
     rhs = svd_rhs(s)
-    assert -1e-12 <= lhs <= np.log(d1 * d3) + 1e-12
-    assert -1e-12 <= rhs <= np.log(min(d1, d2)) + np.log(min(d3, d4)) + 1e-12
+    assert 0.0 <= lhs <= np.log(d1 * d3) + 1e-12
+    assert 0.0 <= rhs <= np.log(min(d1, d2)) + np.log(min(d3, d4)) + 1e-12
 
 
 haar_shapes = st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3)])

@@ -53,3 +53,29 @@ def test_every_tolerance_is_read_by_another_module():
     read = set().union(*(loaded_names(parse(p)) for p in MODULES if p.name != "tolerances.py"))
     assert constants
     assert sorted(constants - read) == []
+
+
+#: Public names that nothing in the package reads and ``__all__`` leaves
+#: out, each with the file outside the package that still names it.  Once
+#: that file stops naming one, the name is dead and should be deleted.
+UNREAD_PUBLIC_NAMES = {
+    "permute_factors": "bench/tracer.py",  # a layer of the benchmark tracer
+}
+
+
+def test_every_public_name_is_exported_or_read():
+    defined = {
+        node.name
+        for path in MODULES
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = set()
+    for path in MODULES:
+        tree = parse(path)
+        read |= loaded_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(defined - set(bnineq.__all__) - read) == sorted(UNREAD_PUBLIC_NAMES)
+    root = Path(__file__).resolve().parents[1]
+    for name, user in UNREAD_PUBLIC_NAMES.items():
+        assert name in (root / user).read_text(encoding="utf-8"), (name, user)

@@ -12,14 +12,17 @@ from bnineq import (
     Spectrum,
     canonical_counterexample,
     degenerate_blocks,
-    entropy_from_eigenvalues,
     haar_unitary,
     hermitian_eigen,
     partial_trace,
-    svd,
     von_neumann_entropy,
 )
-from bnineq.spectra import entanglement_entropy, entanglement_entropy_grad
+from bnineq.spectra import (
+    entanglement_entropy,
+    entanglement_entropy_grad,
+    entropy_from_eigenvalues,
+    svd,
+)
 
 # Frozen by direct evaluation of -sum(p ln p) for p = (3/4, 1/4).
 ENTROPY_3Q = 0.5623351446188083
@@ -132,6 +135,8 @@ def test_entropy_clipping_policy():
     # (the eigenvalue just above 1 still contributes its own tiny term)
     rho = one_factor_density([1.0 + 5e-13, -5e-13])
     assert abs(von_neumann_entropy(rho)) < 1e-12
+    # an eigenvalue one ulp above 1 would give a negative sum; it is clamped
+    assert entropy_from_eigenvalues([1.0 + 2**-52]) == 0.0
     # below the window the spectrum is treated as corrupt, and no density
     # matrix with such an eigenvalue can be built in the first place
     with pytest.raises(NumericalError):
@@ -163,7 +168,7 @@ def test_entropy_range():
     for _ in range(20):
         rho = random_density(4, rng)
         s = von_neumann_entropy(rho)
-        assert -1e-12 <= s <= np.log(4) + 1e-10
+        assert 0.0 <= s <= np.log(4) + 1e-10
 
 
 def test_entropy_additivity_on_products():

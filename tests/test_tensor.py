@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -11,15 +10,13 @@ from bnineq import (
     InputError,
     PureState,
     canonical_counterexample,
-    flatten_index,
     load_state,
     partial_trace,
     partial_trace_naive,
-    permute_factors,
     save_state,
     state_to_document,
 )
-from bnineq.tensor import _norm
+from bnineq.tensor import _norm, permute_factors
 from helpers import basis_state, kron_state
 
 
@@ -50,38 +47,6 @@ def test_shape_rejects_oversized_space():
     with pytest.raises(InputError):
         FactorShape((101, 101, 101))  # 1030301 > 10**6
     FactorShape((100, 100, 100))  # exactly at the cap is fine
-
-
-# ------------------------------------------------------- index arithmetic
-
-
-def test_flatten_examples():
-    assert flatten_index((1, 0, 1, 0), FactorShape((2, 2, 2, 2))) == 10
-    assert flatten_index((1, 2), FactorShape((2, 3))) == 5
-    assert flatten_index((0, 0), FactorShape((2, 3))) == 0
-
-
-def test_unflatten_examples():
-    assert flatten_index((1, 0, 1, 0), FactorShape((2, 2, 2, 2))) == 10
-    assert flatten_index((1, 2), FactorShape((2, 3))) == 5
-
-
-@pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 2, 2, 2), (3, 2, 3, 2), (5, 4, 3)])
-def test_flatten_unflatten_roundtrip(dims):
-    # Row-major order: the multi-indices in lexicographic order map onto
-    # 0 .. N-1 in turn, which makes flatten_index a bijection.
-    shape = FactorShape(dims)
-    ranges = [range(d) for d in dims]
-    linear = [flatten_index(multi, shape) for multi in itertools.product(*ranges)]
-    assert linear == list(range(shape.total_dimension))
-
-
-def test_flatten_rejects_bad_input():
-    shape = FactorShape((2, 3))
-    with pytest.raises(InputError):
-        flatten_index((1,), shape)
-    with pytest.raises(InputError):
-        flatten_index((2, 0), shape)
 
 
 # ----------------------------------------------------------- pure states
@@ -190,7 +155,7 @@ def test_permute_moves_amplitudes_correctly():
     psi = basis_state(FactorShape((2, 3)), (1, 2))
     swapped = permute_factors(psi, (2, 1))
     assert swapped.shape.dims == (3, 2)
-    assert swapped.amplitudes[flatten_index((2, 1), swapped.shape)] == 1.0
+    assert swapped.amplitudes[np.ravel_multi_index((2, 1), swapped.shape.dims)] == 1.0
 
 
 def test_permute_rejects_non_permutations():

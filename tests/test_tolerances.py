@@ -8,8 +8,6 @@ def test_the_relations_the_table_promises():
     # most D_L * D_R * eps, which must pass the one residual gate.
     eps = np.finfo(np.float64).eps
     assert tol.MAX_TOTAL_DIMENSION * eps < tol.RESIDUAL_TOL
-    # The eigenvalue floor is no stricter than the matrix roundoff gates.
-    assert tol.MATRIX_ATOL <= tol.CLIP_TOL
 
 
 def test_the_scan_limit_admits_the_readme_scans_with_room():
