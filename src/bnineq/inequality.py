@@ -33,7 +33,7 @@ from .schmidt import (
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
-from .tensor import FactorShape, PureState
+from .tensor import FactorShape, PureState, _as_int
 from .tolerances import (
     GRAD_TOL,
     MAX_SEARCH_WORK,
@@ -83,15 +83,26 @@ def _lhs(amps: np.ndarray, shape: FactorShape) -> np.ndarray:
     return entanglement_entropy(_arranged(amps, shape, BipartiteSplit((1, 3), (2, 4))))
 
 
+def _sides(left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
+    """Left vectors (..., d1*d2, k) as (d1 x d2) and right vectors (..., d3*d4, k)
+    as (d3 x d4) matrices in one stack (..., 2k, max(d1, d3), max(d2, d4)),
+    zero-padded, which is exact: zero rows and columns add zero singular values."""
+    d1, d2, d3, d4 = dims
+    *lead, _, k = left.shape
+    out = np.zeros((*lead, 2 * k, max(d1, d3), max(d2, d4)), np.result_type(left, right))
+    out[..., :k, :d1, :d2] = left.swapaxes(-1, -2).reshape(*lead, k, d1, d2)
+    out[..., k:, :d3, :d4] = right.swapaxes(-1, -2).reshape(*lead, k, d3, d4)
+    return out
+
+
 def _rhs(lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
     """:func:`bn_rhs` of each decomposition in a stack: coefficients
-    (n, k), left vectors (n, d1*d2, k) and right vectors (n, d3*d4, k)."""
-    n, k = lam.shape
-    d1, d2, d3, d4 = dims
-    s_left = entanglement_entropy(left.swapaxes(-1, -2).reshape(n, k, d1, d2))
-    s_right = entanglement_entropy(right.swapaxes(-1, -2).reshape(n, k, d3, d4))
+    (n, k), left vectors (n, d1*d2, k) and right vectors (n, d3*d4, k),
+    both sides in one :func:`entanglement_entropy` call on :func:`_sides`."""
+    k = lam.shape[1]
+    s = entanglement_entropy(_sides(left, right, dims))
     # One dot product per row through matmul, which sums as ``lam @ s`` does.
-    return (lam[:, None, :] @ (s_left + s_right)[:, :, None])[:, 0, 0]
+    return (lam[:, None, :] @ (s[:, :k] + s[:, k:])[:, :, None])[:, 0, 0]
 
 
 def bn_lhs(s: FourFactorState) -> float:
@@ -142,7 +153,7 @@ def bn_gap(
 def _check_dim(d: int) -> int:
     """A local dimension d >= 2 whose (d, d, d, d) shape the package
     accepts, checked before any array of that size is allocated."""
-    d = int(d)
+    d = _as_int(d, "local dimension")
     if d < 2:
         raise InputError(f"local dimension must be at least 2, got {d}")
     FactorShape((d,) * 4)
@@ -246,14 +257,15 @@ def _rhs_ascent(
 ) -> tuple[float, np.ndarray]:
     """The rhs of the (D x rank) columns ``left`` and ``right``, and
     its Riemannian gradient G for left -> left e^X, right -> right conj(e^X):
-    d rhs = Re tr(G^H X) for skew-Hermitian X that vanish outside ``mask``."""
+    d rhs = Re tr(G^H X) for skew-Hermitian X that vanish outside ``mask``.
+    Both sides go through one :func:`entanglement_entropy_grad` call on
+    their :func:`_sides` stack, whose padding is dropped from G."""
     d1, d2, d3, d4 = dims
     k = lam.size
-    s_left, g_left = entanglement_entropy_grad(left.T.reshape(k, d1, d2))
-    s_right, g_right = entanglement_entropy_grad(right.T.reshape(k, d3, d4))
-    e = left.conj().T @ (g_left.reshape(k, -1).T * lam)
-    e += np.conj(right.conj().T @ (g_right.reshape(k, -1).T * lam))
-    return float(lam @ (s_left + s_right)), np.where(mask, 0.5 * (e - e.conj().T), 0.0)
+    s, g = entanglement_entropy_grad(_sides(left, right, dims))
+    e = left.conj().T @ (g[:k, :d1, :d2].reshape(k, -1).T * lam)
+    e += np.conj(right.conj().T @ (g[k:, :d3, :d4].reshape(k, -1).T * lam))
+    return float(lam @ (s[:k] + s[k:])), np.where(mask, 0.5 * (e - e.conj().T), 0.0)
 
 
 def _ascend(
@@ -333,7 +345,8 @@ def maximize_rhs(
     """
     from .sampling import _haar_unitaries, derive_seed
 
-    restarts, sweeps = int(restarts), int(sweeps)
+    restarts, sweeps = _as_int(restarts, "restarts"), _as_int(sweeps, "sweeps")
+    seed = _as_int(seed, "seed")
     if restarts < 0 or sweeps < 0:
         raise InputError("restarts and sweeps must be nonnegative")
     dims = s.state.shape.dims

@@ -19,7 +19,7 @@ from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, bn_lhs, b
 from .schmidt import (
     _arranged, _schmidt_stack, _verify_stack, schmidt_decompose, verify_decomposition,
 )
-from .tensor import FactorShape, PureState
+from .tensor import FactorShape, PureState, _as_int
 from .tolerances import (
     MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
 )
@@ -59,7 +59,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     factorization's phase convention and makes the distribution exactly
     Haar.  ``n = 1`` gives a single uniformly random phase.
     """
-    return _haar_unitaries(n, [seed])[0]
+    return _haar_unitaries(n, [_as_int(seed, "seed")])[0]
 
 
 def _haar_unitaries(n: int, seeds) -> np.ndarray:
@@ -69,7 +69,7 @@ def _haar_unitaries(n: int, seeds) -> np.ndarray:
     equals ``haar_unitary(n, seeds[i])``; the QR and the phase fix run
     once on the whole stack.
     """
-    n = int(n)
+    n = _as_int(n, "unitary dimension")
     if n < 1:
         raise InputError(f"unitary dimension must be >= 1, got {n}")
     x = [np.random.default_rng(int(s) & _MASK64).standard_normal((2, n, n)) for s in seeds]
@@ -156,7 +156,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     7) and none of 300 at d = 3 or of 200 at d = 4.  The structured
     counterexample family is what refutes it at every d.
     """
-    n_samples = int(n_samples)
+    n_samples, master_seed = _as_int(n_samples, "n_samples"), _as_int(master_seed, "master_seed")
     if n_samples < 1:
         raise InputError(f"n_samples must be >= 1, got {n_samples}")
     if shape.n_factors != 4:
@@ -196,5 +196,5 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     seeds = np.array(seeds, dtype=np.uint64)
     seeds.setflags(write=False)
     return ScanReport(
-        shape, int(master_seed), seeds, lhs, rhs, lhs - rhs, dict(sorted(errors.items()))
+        shape, master_seed, seeds, lhs, rhs, lhs - rhs, dict(sorted(errors.items()))
     )

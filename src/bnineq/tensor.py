@@ -27,6 +27,18 @@ from .exceptions import InputError, NumericalError
 from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; NaN, inf, a fraction or a non-number raises
+    :class:`InputError` (2, ``np.int64(2)`` and 2.0 all give 2)."""
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FactorShape:
     """Ordered local dimensions (d_1, ..., d_n) of a tensor-product space."""
@@ -35,7 +47,7 @@ class FactorShape:
 
     def __post_init__(self) -> None:
         try:
-            dims = tuple(int(d) for d in self.dims)
+            dims = tuple(_as_int(d, "factor dimension") for d in self.dims)
         except (TypeError, ValueError) as exc:
             raise InputError(f"factor dimensions must be integers, got {self.dims!r}") from exc
         object.__setattr__(self, "dims", dims)

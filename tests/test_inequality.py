@@ -30,7 +30,8 @@ from bnineq import (
     von_neumann_entropy,
 )
 from bnineq import inequality
-from bnineq.inequality import _ascend, _rhs_ascent
+from bnineq.inequality import _ascend, _rhs, _rhs_ascent
+from bnineq.spectra import entanglement_entropy_grad
 from bnineq.tolerances import STACK_ELEMENTS, START_TIE_TOL
 from helpers import apply_freedom, basis_state, kron_state
 
@@ -170,7 +171,8 @@ def test_lhs_of_product_state_vanishes():
 
 
 # Non-square shapes expose a transposed reshape in the entropy kernel.
-ORACLE_SHAPES = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 3), (2, 3, 4, 2)]
+# The last three pad one side of the stacked rhs kernel with zeros.
+ORACLE_SHAPES = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 3), (2, 3, 4, 2), (2, 3, 3, 2), (2, 2, 3, 3)]
 
 
 def shape_id(dims):
@@ -400,9 +402,15 @@ def bell_pair_state(dims):
     return FourFactorState(PureState.normalized(FactorShape(dims), grid.reshape(-1)))
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 3)], ids=shape_id)
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2, 2), (2, 3, 2, 3), (2, 3, 3, 2), (2, 2, 3, 3)], ids=shape_id
+)
 def test_rhs_gradient_matches_central_difference(dims):
-    s = bell_pair_state(dims)
+    # the last two have sides of different shapes, zero-padded in one stack
+    if dims[:2] == dims[2:]:
+        s = bell_pair_state(dims)
+    else:
+        s = FourFactorState(haar_state(FactorShape(dims), 23))
     dec = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
     k = dec.rank
     # away from the product start, where the gradient vanishes
@@ -425,6 +433,23 @@ def test_rhs_gradient_matches_central_difference(dims):
     central = (rhs_along(h) - rhs_along(-h)) / (2 * h)
     assert abs(central - float(np.vdot(grad, x).real)) < 1e-6
     assert abs(central) > 1e-3  # the direction actually moves the rhs
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 3, 2), (2, 3, 4, 2)], ids=shape_id)
+def test_the_entropy_kernels_never_call_the_svd(monkeypatch, dims):
+    dec = schmidt_decompose(haar_state(FactorShape(dims), 31), ADDITIVITY_SPLIT)
+    lam, left, right, k = dec.coefficients, dec.left, dec.right, dec.rank
+    mask = np.ones((k, k), dtype=bool)
+    want = bn_rhs(dec), _rhs_ascent(lam, left, right, dims, mask)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the entropy path called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert _rhs(lam[None], left[None], right[None], dims)[0] == want[0]
+    value, grad = _rhs_ascent(lam, left, right, dims, mask)
+    assert value == want[1][0] and np.array_equal(grad, want[1][1])
+    entanglement_entropy_grad(left.T.reshape(k, *dims[:2]))
 
 
 @pytest.mark.parametrize("d, seeds", [(2, 20), (3, 10)])

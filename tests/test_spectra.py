@@ -259,6 +259,40 @@ def test_entanglement_entropy_matches_exact_and_svd_spectra(seed, shape, second)
     assert np.max(np.abs(stacked - value)) <= 5e-14
 
 
+def svd_gradient(m):
+    """Test-local reference: -2 U diag(s ln s^2) V^H from the SVD."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    p = s**2
+    return (u * (-2.0 * s * np.log(np.where(p > 0.0, p, 1.0)))) @ vh
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    kernel_shapes,
+    st.sampled_from([0.0, 1e-13, 1e-20, None, "random"]),
+)
+def test_entanglement_entropy_grad_matches_the_svd_formula(seed, shape, second):
+    if second == "random":
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m /= np.linalg.norm(m)
+    else:
+        m = matrix_with_spectrum(shape, spectrum_of(second, min(shape)), seed)
+    value, grad = entanglement_entropy_grad(m)
+    assert grad.shape == m.shape
+    assert abs(float(value) - float(entanglement_entropy(m))) <= 5e-14
+    # ln p weights miss 1e-12 by up to 1e-8 on the tiny spectra.  At (4, 4)
+    # a tiny weight sits beside two zero weights, and M M^H resolves their
+    # eigenvectors only to eps / weight, which no weighting undoes.
+    beside_zero = min(shape) > 2 and second in (1e-13, 1e-20)
+    assert np.max(np.abs(grad - svd_gradient(m))) <= (1e-7 if beside_zero else 1e-12)
+    # a stack gives each matrix's own gradient
+    values, grads = entanglement_entropy_grad(np.stack([m, 1j * m]))
+    assert np.max(np.abs(values - value)) <= 5e-14
+    assert np.max(np.abs(grads - np.stack([grad, 1j * grad]))) <= 1e-12
+
+
 def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -273,7 +307,12 @@ def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
     [
         (svd, np.eye(2), "svd", "SVD failed to converge"),
         (hermitian_eigen, np.eye(2), "eigh", "eigensolver failed to converge"),
-        (entanglement_entropy_grad, np.eye(2) / np.sqrt(2.0), "svd", "SVD failed to converge"),
+        (
+            entanglement_entropy_grad,
+            np.eye(2) / np.sqrt(2.0),
+            "eigh",
+            "eigensolver failed to converge",
+        ),
         (
             von_neumann_entropy,
             DensityMatrix(np.eye(2) / 2, FactorShape((2,))),

@@ -10,10 +10,13 @@ from bnineq import (
     InputError,
     PureState,
     canonical_counterexample,
+    haar_unitary,
     load_state,
+    maximize_rhs,
     partial_trace,
     partial_trace_naive,
     save_state,
+    scan,
     state_to_document,
 )
 from bnineq.tensor import _norm, permute_factors
@@ -41,6 +44,32 @@ def test_shape_basic_properties():
 def test_shape_rejects_bad_dims(dims):
     with pytest.raises(InputError):
         FactorShape(dims)
+
+
+INTEGER_GATES = {
+    "FactorShape": lambda v: FactorShape((v, 2, 2, 2)),
+    "canonical_counterexample": canonical_counterexample,
+    "maximize_restarts": lambda v: maximize_rhs(canonical_counterexample(2), restarts=v),
+    "maximize_sweeps": lambda v: maximize_rhs(canonical_counterexample(2), sweeps=v),
+    "maximize_seed": lambda v: maximize_rhs(canonical_counterexample(2), seed=v),
+    "scan_samples": lambda v: scan(v, FactorShape((2, 2, 2, 2)), 0),
+    "scan_seed": lambda v: scan(2, FactorShape((2, 2, 2, 2)), v),
+    "haar_unitary_n": lambda v: haar_unitary(v, 0),
+    "haar_unitary_seed": lambda v: haar_unitary(2, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "2"])
+@pytest.mark.parametrize("gate", INTEGER_GATES)
+def test_integer_gates_refuse_non_integral_values(gate, value):
+    with pytest.raises(InputError, match="must be (an integer|integers)"):
+        INTEGER_GATES[gate](value)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), 2.0])
+@pytest.mark.parametrize("gate", INTEGER_GATES)
+def test_integer_gates_accept_integral_values(gate, value):
+    INTEGER_GATES[gate](value)
 
 
 def test_shape_rejects_oversized_space():
