@@ -19,7 +19,7 @@ near -2 log d, so the violation survives without any freedom of choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .exceptions import InputError
 from .schmidt import (
     BipartiteSplit,
     _arranged,
+    _schmidt_stack,
     SchmidtDecomposition,
     degenerate_blocks,
-    schmidt_decompose,
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
@@ -252,30 +252,31 @@ def deformed_counterexample(
     return state, dec
 
 
-def _rhs_ascent(
-    lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims: tuple[int, ...], mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The rhs of the (D x rank) columns ``left`` and ``right``, and
-    its Riemannian gradient G for left -> left e^X, right -> right conj(e^X):
-    d rhs = Re tr(G^H X) for skew-Hermitian X that vanish outside ``mask``.
-    Both sides go through one :func:`entanglement_entropy_grad` call on
-    their :func:`_sides` stack, whose padding is dropped from G."""
-    d1, d2, d3, d4 = dims
+def _rhs_ascent(lam: np.ndarray, sides: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """The rhs of a :func:`_sides` stack (2k, m, n) of L W and R conj(W), and
+    its Riemannian gradient G for W -> W e^X: d rhs = Re tr(G^H X) for
+    skew-Hermitian X that vanish outside ``mask``.  Both sides go through
+    one :func:`entanglement_entropy_grad` call and one batched projection
+    ``conj(S) @ G^T``; the padding is 0 in S, so it adds nothing."""
     k = lam.size
-    s, g = entanglement_entropy_grad(_sides(left, right, dims))
-    e = left.conj().T @ (g[:k, :d1, :d2].reshape(k, -1).T * lam)
-    e += np.conj(right.conj().T @ (g[k:, :d3, :d4].reshape(k, -1).T * lam))
+    s, g = entanglement_entropy_grad(sides)
+    e = np.conj(sides.reshape(2, k, -1)) @ g.reshape(2, k, -1).swapaxes(-1, -2)
+    e = (e[0] + np.conj(e[1])) * lam
     return float(lam @ (s[:k] + s[k:])), np.where(mask, 0.5 * (e - e.conj().T), 0.0)
 
 
+def _rotated(sides: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The :func:`_sides` stack of L q, R conj(q) from that of L, R; padding stays 0."""
+    return (np.array((q.T, q.T.conj())) @ sides.reshape(2, len(q), -1)).reshape(sides.shape)
+
+
 def _ascend(
-    lam: np.ndarray, lmat: np.ndarray, rmat: np.ndarray, dims: tuple[int, ...], mask: np.ndarray,
-    sweeps: int,
-) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """The Riemannian gradient ascent of :func:`maximize_rhs` from the
-    columns ``lmat`` and ``rmat``: the final columns, the steps used and
+    lam: np.ndarray, sides: np.ndarray, mask: np.ndarray, sweeps: int
+) -> tuple[np.ndarray, int, str]:
+    """The Riemannian gradient ascent of :func:`maximize_rhs`, which rotates
+    the :func:`_sides` stack ``sides``: the final stack, the steps used and
     the stop reason ("converged" or "budget")."""
-    value, grad = _rhs_ascent(lam, lmat, rmat, dims, mask)
+    value, grad = _rhs_ascent(lam, sides, mask)
     eye = np.eye(lam.size)
     step, used, stop = 1.0, 0, "converged"
     while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
@@ -286,9 +287,9 @@ def _ascend(
         # Cayley retraction with Armijo backtracking; a step that moves W
         # by less than roundoff means no ascent is possible from here.
         while step * math.sqrt(norm2) > 1e-15:
-            q = np.linalg.solve(eye - 0.5 * step * grad, eye + 0.5 * step * grad)
-            trial = (lmat @ q, rmat @ np.conj(q))
-            t_value, t_grad = _rhs_ascent(lam, *trial, dims, mask)
+            half = 0.5 * step * grad
+            trial = _rotated(sides, np.linalg.solve(eye - half, eye + half))
+            t_value, t_grad = _rhs_ascent(lam, trial, mask)
             if t_value >= value + 1e-4 * step * norm2:
                 break
             step *= 0.5
@@ -305,8 +306,8 @@ def _ascend(
         else:
             step = curvature / float(np.vdot(y_vec, y_vec).real)
         step = min(step, 1e20)  # keeps the backtracking loop finite
-        (lmat, rmat), value, grad = trial, t_value, t_grad
-    return lmat, rmat, used, stop
+        sides, value, grad = trial, t_value, t_grad
+    return sides, used, stop
 
 
 def maximize_rhs(
@@ -326,9 +327,10 @@ def maximize_rhs(
     entries; the best start wins, and a later start must beat it by more
     than ``START_TIE_TOL``, so ties go to the lowest index.  A Riemannian
     gradient ascent on W then refines the winner, the only start whose
-    gradient is computed.  Each ascent step, at most ``sweeps`` of them,
-    moves along the gradient by a Cayley retraction; the step length is
-    Barzilai-Borwein, halved until the step ascends by the Armijo rule.
+    gradient is computed, by rotating the zero-padded stack of both sides'
+    vectors as matrices.  Each of at most ``sweeps`` steps moves along the
+    gradient by a Cayley retraction; the step length is Barzilai-Borwein,
+    halved until the step ascends by the Armijo rule.
     The ascent stops as "converged" when the gradient norm is at most
     ``GRAD_TOL`` or when no step ascends, and as "budget" when all
     ``sweeps`` steps are used.  "converged" means a stationary point, not
@@ -357,16 +359,17 @@ def maximize_rhs(
             f"maximize on dims {dims} with {restarts} restarts and {sweeps} sweeps exceeds the "
             f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
         )
-    dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
-    wide_blocks = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
+    shape = s.state.shape
+    lam, left, right = _schmidt_stack(_arranged(s.state.amplitudes[None], shape, ADDITIVITY_SPLIT))
+    k = int(np.count_nonzero(lam[0]))
+    lam, left, right = lam[0, :k], left[0, :, :k], right[0, :, :k]
+    wide_blocks = [b for b in degenerate_blocks(lam) if len(b) > 1]
     if not wide_blocks:
-        report = bn_gap(s, dec0, source="svd", descriptor="no degenerate freedom")
-        return dec0, report
-    lam = dec0.coefficients
-    k = lam.size
+        dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
+        return dec, bn_gap(s, dec, source="svd", descriptor="no degenerate freedom")
     mask = np.zeros((k, k), dtype=bool)
     for b in wide_blocks:
-        mask[np.ix_(b, b)] = True
+        mask[b[0]:b[-1] + 1, b[0]:b[-1] + 1] = True
 
     # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
     # Every start is scored by value only; a later start wins only by more
@@ -378,21 +381,22 @@ def maximize_rhs(
     for start in range(0, restarts + 1, chunk):
         end = min(start + chunk, restarts + 1)
         first = max(start, 1)
-        w = np.zeros((end - start, k, k), dtype=np.complex128)
-        w[:, range(k), range(k)] = 1.0
+        w = np.empty((end - start, k, k), dtype=np.complex128)
+        w[:] = np.eye(k)
         for bi, b in enumerate(wide_blocks):
             seeds = [derive_seed(seed, (i - 1) * len(wide_blocks) + bi) for i in range(first, end)]
             w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), seeds)
         lams = np.broadcast_to(lam, (end - start, k))
-        values = _rhs(lams, dec0.left @ w, dec0.right @ np.conj(w), dims)
+        values = _rhs(lams, left @ w, right @ np.conj(w), dims)
         for i, t_value in enumerate(values.tolist(), start):
             if i == 0 or t_value > value + START_TIE_TOL:
                 best, value, best_w = i, t_value, w[i - start]
-    lmat, rmat = dec0.left, dec0.right
     if best:
-        lmat, rmat = lmat @ best_w, rmat @ np.conj(best_w)
-    lmat, rmat, used, stop = _ascend(lam, lmat, rmat, dims, mask, sweeps)
-    best_dec = replace(dec0, left=lmat, right=rmat)
+        left, right = left @ best_w, right @ np.conj(best_w)
+    sides, used, stop = _ascend(lam, _sides(left, right, dims), mask, sweeps)
+    left = sides[:k, :d1, :d2].reshape(k, -1).T
+    right = sides[k:, :d3, :d4].reshape(k, -1).T
+    best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
     descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
     report = bn_gap(s, best_dec, source="rotated", descriptor=descriptor)
     return best_dec, report

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectra
 from .exceptions import InputError
-from .tensor import FactorShape, PureState
+from .tensor import FactorShape, PureState, _as_int
 from .tolerances import BLOCK_TOL, MATRIX_ATOL
 
 
@@ -35,8 +35,8 @@ class BipartiteSplit:
     right: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        left = tuple(int(p) for p in self.left)
-        right = tuple(int(p) for p in self.right)
+        left = tuple(_as_int(p, "factor position") for p in self.left)
+        right = tuple(_as_int(p, "factor position") for p in self.right)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         if not left or not right:

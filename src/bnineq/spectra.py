@@ -81,8 +81,9 @@ def _shannon(p: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"eigenvalue {lowest:.3e} below -{MATRIX_ATOL}; refusing to clip it silently"
         )
-    p = np.where(p > 0.0, p, 0.0)
-    return np.maximum(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1), 0.0)
+    positive = p > 0.0
+    p = np.where(positive, p, 0.0)
+    return np.maximum(-(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1), 0.0)
 
 
 def entropy_from_eigenvalues(values) -> float:

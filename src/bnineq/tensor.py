@@ -72,7 +72,7 @@ class FactorShape:
 
 def _check_positions(shape: FactorShape, positions, what: str) -> tuple[int, ...]:
     """Validate 1-based factor positions against a shape."""
-    pos = tuple(int(p) for p in positions)
+    pos = tuple(_as_int(p, f"{what} position") for p in positions)
     for p in pos:
         if not 1 <= p <= shape.n_factors:
             raise InputError(
@@ -141,7 +141,7 @@ def permute_factors(psi: PureState, perm) -> PureState:
     input exactly.  No package code calls it; it stays only because the
     benchmark tracer (``bench/tracer.py``, ``LAYERS``) names it.
     """
-    p = tuple(int(x) for x in perm)
+    p = tuple(_as_int(x, "factor position") for x in perm)
     if sorted(p) != list(range(1, psi.shape.n_factors + 1)):
         raise InputError(
             f"{p} is not a permutation of 1..{psi.shape.n_factors}"

@@ -1,3 +1,4 @@
+import collections
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from bnineq import (
     FourFactorState,
     InputError,
     PureState,
+    SchmidtDecomposition,
     bell_basis,
     bn_gap,
     bn_lhs,
@@ -30,7 +32,7 @@ from bnineq import (
     von_neumann_entropy,
 )
 from bnineq import inequality
-from bnineq.inequality import _ascend, _rhs, _rhs_ascent
+from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
 from bnineq.spectra import entanglement_entropy_grad
 from bnineq.tolerances import STACK_ELEMENTS, START_TIE_TOL
 from helpers import apply_freedom, basis_state, kron_state
@@ -417,7 +419,7 @@ def test_rhs_gradient_matches_central_difference(dims):
     rotated = apply_freedom(dec, haar_unitary(k, 17))
     left, right = rotated.left, rotated.right
     mask = np.ones((k, k), dtype=bool)
-    value, grad = _rhs_ascent(dec.coefficients, left, right, dims, mask)
+    value, grad = _rhs_ascent(dec.coefficients, _sides(left, right, dims), mask)
     assert abs(value - bn_rhs(rotated)) < 1e-12
     rng = np.random.default_rng(4)
     z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -427,7 +429,7 @@ def test_rhs_gradient_matches_central_difference(dims):
 
     def rhs_along(t):
         u = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
-        return _rhs_ascent(dec.coefficients, left @ u, right @ np.conj(u), dims, mask)[0]
+        return _rhs_ascent(dec.coefficients, _sides(left @ u, right @ np.conj(u), dims), mask)[0]
 
     h = 1e-6
     central = (rhs_along(h) - rhs_along(-h)) / (2 * h)
@@ -440,14 +442,15 @@ def test_the_entropy_kernels_never_call_the_svd(monkeypatch, dims):
     dec = schmidt_decompose(haar_state(FactorShape(dims), 31), ADDITIVITY_SPLIT)
     lam, left, right, k = dec.coefficients, dec.left, dec.right, dec.rank
     mask = np.ones((k, k), dtype=bool)
-    want = bn_rhs(dec), _rhs_ascent(lam, left, right, dims, mask)
+    sides = _sides(left, right, dims)
+    want = bn_rhs(dec), _rhs_ascent(lam, sides, mask)
 
     def fail(*args, **kwargs):
         raise AssertionError("the entropy path called the SVD")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert _rhs(lam[None], left[None], right[None], dims)[0] == want[0]
-    value, grad = _rhs_ascent(lam, left, right, dims, mask)
+    value, grad = _rhs_ascent(lam, sides, mask)
     assert value == want[1][0] and np.array_equal(grad, want[1][1])
     entanglement_entropy_grad(left.T.reshape(k, *dims[:2]))
 
@@ -461,6 +464,29 @@ def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
         assert time.perf_counter() - t0 < 2.0
         assert abs(report.rhs - 2 * np.log(d)) <= 1e-9, (k, report.state_descriptor)
         assert verify_decomposition(s.state, dec) <= 1e-10
+
+
+def test_maximize_makes_one_svd_one_record_and_three_side_stacks(monkeypatch):
+    # _sides runs for the start scoring, the ascent's start and the report,
+    # however many steps the ascent takes (5 here).
+    s = canonical_counterexample(2)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "qr", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(inequality, "_sides", counted("_sides", inequality._sides))
+    post_init = counted("SchmidtDecomposition", SchmidtDecomposition.__post_init__)
+    monkeypatch.setattr(SchmidtDecomposition, "__post_init__", post_init)
+    _, report = maximize_rhs(s, seed=derive_seed(0, 0))
+    assert report.state_descriptor == "restarts=20 sweeps_used=5/2000 stop=converged"
+    assert calls == {"svd": 1, "qr": 1, "eigvalsh": 3, "SchmidtDecomposition": 1, "_sides": 3}
 
 
 def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
@@ -478,17 +504,19 @@ def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
     for b in wide:
         mask[np.ix_(b, b)] = True
     lmat, rmat = dec0.left, dec0.right
-    value, _ = _rhs_ascent(lam, lmat, rmat, dims, mask)
+    value, _ = _rhs_ascent(lam, _sides(lmat, rmat, dims), mask)
     best = 0
     for r in range(restarts):
         w = np.eye(k, dtype=np.complex128)
         for bi, b in enumerate(wide):
             w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide) + bi))
         trial = (dec0.left @ w, dec0.right @ np.conj(w))
-        t_value, _ = _rhs_ascent(lam, *trial, dims, mask)
+        t_value, _ = _rhs_ascent(lam, _sides(*trial, dims), mask)
         if t_value > value + START_TIE_TOL:
             (lmat, rmat), value, best = trial, t_value, r + 1
-    lmat, rmat, used, stop = _ascend(lam, lmat, rmat, dims, mask, sweeps)
+    sides, used, stop = _ascend(lam, _sides(lmat, rmat, dims), mask, sweeps)
+    d1, d2, d3, d4 = dims
+    lmat, rmat = sides[:k, :d1, :d2].reshape(k, -1).T, sides[k:, :d3, :d4].reshape(k, -1).T
     dec = replace(dec0, left=lmat, right=rmat)
     return dec, bn_rhs(dec), f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}", best
 

@@ -19,6 +19,7 @@ from bnineq import (
     maximize_rhs,
     schmidt_decompose,
 )
+from bnineq.inequality import _rhs_ascent, _rotated, _sides
 from helpers import apply_freedom
 
 TWO_LN_TWO = 1.3862943611198906
@@ -98,3 +99,21 @@ def test_the_canonical_state_is_the_same_in_every_basis(seed, d):
     rebuilt = sum(np.kron(u[:, a], np.conj(u[:, a])) for a in range(d * d)) / d
     target = canonical_counterexample(d).state.amplitudes
     assert np.linalg.norm(rebuilt - target) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([(2, 3, 3, 2), (2, 3, 4, 2), (1, 2, 3, 2)]))
+def test_rotating_the_side_stack_rotates_the_columns(seed, dims):
+    # The ascent rotates the zero-padded stack of both sides instead of the
+    # columns; on shapes whose sides differ, the padding must stay exactly 0.
+    d1, d2, d3, d4 = dims
+    dec = schmidt_decompose(haar_state(FactorShape(dims), seed), ADDITIVITY_SPLIT)
+    q = haar_unitary(dec.rank, derive_seed(seed, 1))
+    rotated = apply_freedom(dec, q)
+    stack = _rotated(_sides(dec.left, dec.right, dims), q)
+    assert np.max(np.abs(stack - _sides(rotated.left, rotated.right, dims))) <= 1e-14
+    padding = np.ones(stack.shape, dtype=bool)
+    padding[: dec.rank, :d1, :d2] = padding[dec.rank :, :d3, :d4] = False
+    assert padding.any() and np.all(stack[padding] == 0.0)
+    mask = np.ones((dec.rank, dec.rank), dtype=bool)
+    assert abs(_rhs_ascent(dec.coefficients, stack, mask)[0] - bn_rhs(rotated)) <= 1e-12

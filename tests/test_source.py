@@ -9,6 +9,7 @@ import bnineq
 
 SOURCE = Path(bnineq.__file__).resolve().parent
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse(path: Path) -> ast.Module:
@@ -76,6 +77,26 @@ def test_every_public_name_is_exported_or_read():
         read |= loaded_names(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert sorted(defined - set(bnineq.__all__) - read) == sorted(UNREAD_PUBLIC_NAMES)
-    root = Path(__file__).resolve().parents[1]
     for name, user in UNREAD_PUBLIC_NAMES.items():
-        assert name in (root / user).read_text(encoding="utf-8"), (name, user)
+        assert name in (ROOT / user).read_text(encoding="utf-8"), (name, user)
+
+
+#: The oldest Python that pyproject.toml's ``requires-python`` admits.
+OLDEST_PYTHON = (3, 10)
+
+
+def test_the_oldest_python_is_the_declared_one():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in pyproject
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*SOURCE.rglob("*.py"), *(ROOT / "tests").rglob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_every_file_parses_on_the_oldest_python(path):
+    # Newer syntax (such as except* on 3.10) fails here even when the suite
+    # runs on a newer interpreter.
+    text = path.read_text(encoding="utf-8")
+    ast.parse(text, filename=str(path), feature_version=OLDEST_PYTHON)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnineq import (
+    BipartiteSplit,
     FactorShape,
     InputError,
     PureState,
     canonical_counterexample,
+    derive_seed,
+    haar_state,
     haar_unitary,
     load_state,
     maximize_rhs,
@@ -56,6 +59,12 @@ INTEGER_GATES = {
     "scan_seed": lambda v: scan(2, FactorShape((2, 2, 2, 2)), v),
     "haar_unitary_n": lambda v: haar_unitary(v, 0),
     "haar_unitary_seed": lambda v: haar_unitary(2, v),
+    "BipartiteSplit": lambda v: BipartiteSplit((1, v), (3, 4)),
+    "partial_trace": lambda v: partial_trace(canonical_counterexample(2).state, (1, v)),
+    "permute_factors": lambda v: permute_factors(canonical_counterexample(2).state, (1, v, 3, 4)),
+    "haar_state_seed": lambda v: haar_state(FactorShape((2, 2, 2, 2)), v),
+    "derive_seed_master": lambda v: derive_seed(v, 0),
+    "derive_seed_index": lambda v: derive_seed(0, v),
 }
 
 
