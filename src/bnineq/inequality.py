@@ -153,9 +153,7 @@ def bn_gap(
 def _check_dim(d: int) -> int:
     """A local dimension d >= 2 whose (d, d, d, d) shape the package
     accepts, checked before any array of that size is allocated."""
-    d = _as_int(d, "local dimension")
-    if d < 2:
-        raise InputError(f"local dimension must be at least 2, got {d}")
+    d = _as_int(d, "local dimension", 2)
     FactorShape((d,) * 4)
     return d
 
@@ -347,10 +345,8 @@ def maximize_rhs(
     """
     from .sampling import _haar_unitaries, derive_seed
 
-    restarts, sweeps = _as_int(restarts, "restarts"), _as_int(sweeps, "sweeps")
+    restarts, sweeps = _as_int(restarts, "restarts", 0), _as_int(sweeps, "sweeps", 0)
     seed = _as_int(seed, "seed")
-    if restarts < 0 or sweeps < 0:
-        raise InputError("restarts and sweeps must be nonnegative")
     dims = s.state.shape.dims
     d1, d2, d3, d4 = dims
     work = (restarts + sweeps) * min(d1 * d2, d3 * d4) ** 2 * (d1 * d2 + d3 * d4)

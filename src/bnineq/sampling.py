@@ -73,9 +73,7 @@ def _haar_unitaries(n: int, seeds) -> np.ndarray:
     equals ``haar_unitary(n, seeds[i])``; the QR and the phase fix run
     once on the whole stack.
     """
-    n = _as_int(n, "unitary dimension")
-    if n < 1:
-        raise InputError(f"unitary dimension must be >= 1, got {n}")
+    n = _as_int(n, "unitary dimension", 1)
     x = np.empty((len(seeds), 2, n, n))
     for row, s in zip(x, seeds):
         np.random.default_rng(int(s) & _MASK64).standard_normal(out=row)
@@ -161,9 +159,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     7) and none of 300 at d = 3 or of 200 at d = 4.  The structured
     counterexample family is what refutes it at every d.
     """
-    n_samples, master_seed = _as_int(n_samples, "n_samples"), _as_int(master_seed, "master_seed")
-    if n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, master_seed = _as_int(n_samples, "n_samples", 1), _as_int(master_seed, "master_seed")
     if shape.n_factors != 4:
         raise InputError(f"scan needs a 4-factor shape, got {shape.dims}")
     if n_samples * shape.total_dimension > MAX_SCAN_AMPLITUDES:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectra
 from .exceptions import InputError
-from .tensor import FactorShape, PureState, _as_int
+from .tensor import FactorShape, PureState, _descending, _positions
 from .tolerances import BLOCK_TOL, MATRIX_ATOL
 
 
@@ -35,17 +35,13 @@ class BipartiteSplit:
     right: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        left = tuple(_as_int(p, "factor position") for p in self.left)
-        right = tuple(_as_int(p, "factor position") for p in self.right)
+        left, right = tuple(self.left), tuple(self.right)
+        n = len(left) + len(right)
+        left, right = _positions(left, n, "left"), _positions(right, n, "right")
+        if set(left) & set(right):
+            raise InputError(f"split sides {left} | {right} share a factor position")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        if not left or not right:
-            raise InputError("both sides of a split must be nonempty")
-        n = len(left) + len(right)
-        if sorted(left + right) != list(range(1, n + 1)):
-            raise InputError(
-                f"split sides {left} | {right} must partition factor positions 1..{n}"
-            )
 
     @property
     def n_factors(self) -> int:
@@ -94,7 +90,7 @@ class SchmidtDecomposition:
     shape: FactorShape
 
     def __post_init__(self) -> None:
-        lam = np.array(self.coefficients, dtype=np.float64).reshape(-1)
+        lam = _descending(self.coefficients, "Schmidt coefficients")
         _check_split(self.shape, self.split)
         k = lam.size
         if k == 0:
@@ -111,16 +107,11 @@ class SchmidtDecomposition:
                 raise InputError(f"{side} vectors have non-finite entries")
             cols.setflags(write=False)
             object.__setattr__(self, side, cols)
-        if not np.all(np.isfinite(lam)):
-            raise InputError("Schmidt coefficients must be finite")
         if np.any(lam < 0.0):
             raise InputError(f"negative Schmidt coefficient: {float(lam.min())!r}")
-        if np.any(np.diff(lam) > 0.0):
-            raise InputError("Schmidt coefficients must be sorted in descending order")
         total = float(lam.sum())
         if abs(total - 1.0) > MATRIX_ATOL:
             raise InputError(f"Schmidt coefficients sum to {total!r}, expected 1")
-        lam.setflags(write=False)
         object.__setattr__(self, "coefficients", lam)
 
     @property
@@ -203,13 +194,9 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     ``BLOCK_TOL * max(1, lambda_max)`` land in the same block.  Example:
     (0.5, 0.5, 0.3, 0.2) gives blocks (0, 1), (2,), (3,).
     """
-    lam = np.asarray(coefficients, dtype=np.float64).reshape(-1)
+    lam = _descending(coefficients, "coefficients")
     if lam.size == 0:
         raise InputError("empty coefficient list")
-    if not np.all(np.isfinite(lam)):
-        raise InputError("coefficients must be finite")
-    if np.any(np.diff(lam) > 0.0):
-        raise InputError("coefficients must be sorted in descending order")
     threshold = BLOCK_TOL * max(1.0, float(lam[0]))
     blocks: list[tuple[int, ...]] = []
     current = [0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .tensor import DensityMatrix, _lapack
+from .tensor import DensityMatrix, _descending, _hermitian, _lapack
 from .tolerances import MATRIX_ATOL
 
 
@@ -30,13 +30,7 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(vals)):
-            raise InputError("spectrum values must be finite")
-        if vals.size and np.any(np.diff(vals) > 0):
-            raise InputError("spectrum values must be sorted in descending order")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _descending(self.values, "spectrum values"))
 
 
 def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
@@ -47,12 +41,7 @@ def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
     ``m = vectors @ diag(spectrum.values) @ vectors.conj().T``.  Inputs
     whose anti-Hermitian part exceeds ``MATRIX_ATOL`` are rejected.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got array of shape {a.shape}")
-    herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if not herm_dev <= MATRIX_ATOL:
-        raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
+    a = _hermitian(m, "matrix")
     w, v = _lapack("eigh", 0.5 * (a + a.conj().T))
     order = np.argsort(-w, kind="stable")
     return Spectrum(w[order]), v[:, order]

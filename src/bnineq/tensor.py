@@ -11,6 +11,12 @@ Conventions used throughout the package:
   (d_1, ..., d_n) is i_1*d_2*...*d_n + i_2*d_3*...*d_n + ... + i_n, the
   order of ``numpy.ravel_multi_index``.
 * Basis labels inside a single factor are 0-based (0 .. d-1).
+
+Input rules, each written once here, raise :class:`InputError`: ``_as_int``
+refuses NaN, inf, fractions, non-numbers and integers below ``least``;
+``_descending``, non-finite or ascending real vectors; ``_hermitian``,
+non-square, non-finite or non-Hermitian matrices; ``_positions``, empty,
+repeated or out-of-range factor positions.
 """
 
 from __future__ import annotations
@@ -27,16 +33,53 @@ from .exceptions import InputError, NumericalError
 from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; NaN, inf, a fraction or a non-number raises
-    :class:`InputError` (2, ``np.int64(2)`` and 2.0 all give 2)."""
+def _as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` if given (2, ``np.int64(2)``
+    and 2.0 all give 2)."""
     try:
         n = int(value)
-        if n == value:
-            return n
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputError(f"{what} must be an integer, got {value!r}")
+        n = None
+    if n is None or n != value:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if least is not None and n < least:
+        raise InputError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
+def _descending(values, what: str) -> np.ndarray:
+    """``values`` as a flat, read-only float64 copy: finite and descending."""
+    v = np.array(values, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"{what} must be finite")
+    if np.any(v[1:] > v[:-1]):
+        raise InputError(f"{what} must be sorted in descending order")
+    v.setflags(write=False)
+    return v
+
+
+def _hermitian(m, what: str) -> np.ndarray:
+    """``m`` as a complex128 copy: square, finite and within ``MATRIX_ATOL``
+    of Hermitian."""
+    a = np.array(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"{what} must be square, got array of shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{what} has non-finite entries")
+    herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if not herm_dev <= MATRIX_ATOL:
+        raise InputError(f"{what} deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
+    return a
+
+
+def _positions(positions, n: int, what: str) -> tuple[int, ...]:
+    """``positions`` as a tuple of ints: nonempty, distinct and within 1..n."""
+    pos = tuple(_as_int(p, f"{what} position") for p in positions)
+    if not pos or not all(1 <= p <= n for p in pos):
+        raise InputError(f"{what} positions {pos} must be nonempty and within 1..{n}")
+    if len(set(pos)) != len(pos):
+        raise InputError(f"{what} positions contain duplicates: {pos}")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -47,14 +90,12 @@ class FactorShape:
 
     def __post_init__(self) -> None:
         try:
-            dims = tuple(_as_int(d, "factor dimension") for d in self.dims)
-        except (TypeError, ValueError) as exc:
+            dims = tuple(_as_int(d, "factor dimension", 1) for d in self.dims)
+        except TypeError as exc:
             raise InputError(f"factor dimensions must be integers, got {self.dims!r}") from exc
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise InputError("a shape needs at least one factor")
-        if any(d < 1 for d in dims):
-            raise InputError(f"factor dimensions must be >= 1, got {dims}")
         total = math.prod(dims)
         if total > MAX_TOTAL_DIMENSION:
             raise InputError(
@@ -68,19 +109,6 @@ class FactorShape:
     @property
     def total_dimension(self) -> int:
         return math.prod(self.dims)
-
-
-def _check_positions(shape: FactorShape, positions, what: str) -> tuple[int, ...]:
-    """Validate 1-based factor positions against a shape."""
-    pos = tuple(_as_int(p, f"{what} position") for p in positions)
-    for p in pos:
-        if not 1 <= p <= shape.n_factors:
-            raise InputError(
-                f"{what} position {p} out of range for a {shape.n_factors}-factor state"
-            )
-    if len(set(pos)) != len(pos):
-        raise InputError(f"{what} positions contain duplicates: {pos}")
-    return pos
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -123,8 +151,8 @@ class PureState:
         """Build a state from an unnormalized amplitude vector."""
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         norm = _norm(amps)
-        if norm == 0.0:
-            raise InputError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise InputError(f"cannot normalize a vector of norm {norm!r}")
         return cls(shape, amps / norm)
 
     def grid(self) -> np.ndarray:
@@ -141,11 +169,9 @@ def permute_factors(psi: PureState, perm) -> PureState:
     input exactly.  No package code calls it; it stays only because the
     benchmark tracer (``bench/tracer.py``, ``LAYERS``) names it.
     """
-    p = tuple(_as_int(x, "factor position") for x in perm)
-    if sorted(p) != list(range(1, psi.shape.n_factors + 1)):
-        raise InputError(
-            f"{p} is not a permutation of 1..{psi.shape.n_factors}"
-        )
+    p = _positions(perm, psi.shape.n_factors, "factor")
+    if len(p) != psi.shape.n_factors:
+        raise InputError(f"{p} is not a permutation of 1..{psi.shape.n_factors}")
     axes = [x - 1 for x in p]
     grid = psi.grid().transpose(axes)
     new_shape = FactorShape(tuple(psi.shape.dims[a] for a in axes))
@@ -174,17 +200,11 @@ class DensityMatrix:
     origin_shape: FactorShape
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"density matrix must be square, got array of shape {m.shape}")
-        n = self.origin_shape.total_dimension
-        if m.shape[0] != n:
+        m = _hermitian(self.entries, "density matrix")
+        if m.shape[0] != self.origin_shape.total_dimension:
             raise InputError(
                 f"matrix dimension {m.shape[0]} does not match shape {self.origin_shape.dims}"
             )
-        herm_dev = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
-        if not herm_dev <= MATRIX_ATOL:
-            raise InputError(f"matrix deviates from Hermitian by {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(m)) - 1.0)
         if not trace_dev <= MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
@@ -213,9 +233,7 @@ def partial_trace(psi: PureState, keep) -> DensityMatrix:
     averaging with its conjugate transpose, so the result is Hermitian to
     machine precision.
     """
-    pos = _check_positions(psi.shape, keep, "keep")
-    if len(pos) == 0:
-        raise InputError("keep set must not be empty")
+    pos = _positions(keep, psi.shape.n_factors, "keep")
     kept = sorted(p - 1 for p in pos)
     traced = [a for a in range(psi.shape.n_factors) if a not in kept]
     kept_dims = tuple(psi.shape.dims[a] for a in kept)
@@ -232,9 +250,7 @@ def partial_trace_naive(psi: PureState, keep) -> DensityMatrix:
     just the definition.  Kept as a cross-check oracle; use the fast
     version for real work.
     """
-    pos = _check_positions(psi.shape, keep, "keep")
-    if len(pos) == 0:
-        raise InputError("keep set must not be empty")
+    pos = _positions(keep, psi.shape.n_factors, "keep")
     kept = sorted(p - 1 for p in pos)
     traced = [a for a in range(psi.shape.n_factors) if a not in kept]
     kept_dims = [psi.shape.dims[a] for a in kept]
@@ -324,7 +340,7 @@ def load_state(path) -> PureState:
             amps[k] = complex(pair[0], pair[1])
         except OverflowError as exc:
             raise InputError(f"state file {path}: amplitude {k} is out of range") from exc
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if not (abs(norm - 1.0) <= STATE_FILE_NORM_ATOL):
         raise InputError(
             f"state file {path}: amplitude norm {norm!r} is not 1 within {STATE_FILE_NORM_ATOL}"

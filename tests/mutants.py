@@ -1,0 +1,219 @@
+"""Mutation check of the tests: plant one known bug at a time and require
+that the tests named for it fail.
+
+Each entry of ``MUTANTS`` names a module of ``src/bnineq``, an exact source
+fragment, its replacement and the test ids expected to fail.  For each
+entry the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, applies the one replacement there and runs only the
+named tests, so the checkout is never edited.  It prints one line per
+mutant:
+
+* ``killed``: every named test fails;
+* ``survived``: some named test passes, so no test pins the bug;
+* ``stale``: the fragment no longer occurs exactly once in its module;
+* ``error``: pytest did not run the named tests (an unknown test id, or a
+  collection error).
+
+Before the mutants it runs every named test on the unmutated copy, which
+must pass.  It exits 1 unless every mutant is killed.  A mutant that is
+harmless on some shapes (``M`` and ``M^T`` share their spectrum) names
+tests on a shape where it is wrong.  The file has no ``test_`` prefix, so
+pytest does not collect it.
+
+Run from the repository root::
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "left vectors of the rhs reshaped (d2 x d1): wrong at (2, 3, 2, 3)",
+        "inequality",
+        "left.swapaxes(-1, -2).reshape(*lead, k, d1, d2)",
+        "left.swapaxes(-1, -2).reshape(*lead, k, d2, d1).swapaxes(-1, -2)",
+        (
+            "tests/test_inequality.py::test_rhs_cross_checked_against_naive_oracle[2x3x2x3]",
+            "tests/test_inequality.py::test_rhs_cross_checked_against_naive_oracle[3x2x3x2]",
+        ),
+    ),
+    Mutant(
+        "ln p for ln |r|^2 as the gradient's log weights: wrong at tiny weights",
+        "spectra",
+        "np.log(np.where(q > 0.0, q, 1.0))",
+        "np.log(np.where(p > 0.0, p, 1.0))",
+        ("tests/test_spectra.py::test_entanglement_entropy_grad_matches_the_svd_formula",),
+    ),
+    Mutant(
+        "padded right block at the far corner: wrong at (2, 3, 3, 2)",
+        "inequality",
+        "out[..., k:, :d3, :d4] = ",
+        "out[..., k:, -d3:, -d4:] = ",
+        ("tests/test_properties.py::test_rotating_the_side_stack_rotates_the_columns",),
+    ),
+    Mutant(
+        "lhs taken across {1,2} | {3,4}: wrong at (2, 2, 2, 2)",
+        "inequality",
+        "BipartiteSplit((1, 3), (2, 4))",
+        "BipartiteSplit((1, 2), (3, 4))",
+        (
+            "tests/test_inequality.py::test_lhs_cross_checked_against_naive_oracle[2x2x2x2]",
+            "tests/test_acceptance.py::test_criterion_1_canonical_family_violates_at_all_dims",
+        ),
+    ),
+    Mutant(
+        "rhs weighted by sqrt(lambda): wrong at (2, 2, 2, 2)",
+        "inequality",
+        "(lam[:, None, :] @ (s[:, :k]",
+        "(np.sqrt(lam)[:, None, :] @ (s[:, :k]",
+        (
+            "tests/test_inequality.py::test_rhs_cross_checked_against_naive_oracle[2x2x2x2]",
+            "tests/test_inequality.py::test_rhs_of_entangled_decomposition",
+        ),
+    ),
+    Mutant(
+        "int() in place of the integer gate: wrong at 2.5",
+        "tensor",
+        "if n is None or n != value:",
+        "if n is None:",
+        (
+            "tests/test_tensor.py::test_integer_gates_refuse_non_integral_values[FactorShape-2.5]",
+            "tests/test_tensor.py::test_integer_gates_refuse_non_integral_values[scan_samples-2.5]",
+        ),
+    ),
+    Mutant(
+        "Shannon sum not clamped at 0: wrong at the spectrum (1 + eps,)",
+        "spectra",
+        "return np.maximum(-(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1), 0.0)",
+        "return -(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1)",
+        ("tests/test_spectra.py::test_entropy_clipping_policy",),
+    ),
+    Mutant(
+        "_as_int ignores least: wrong at a dimension of 0",
+        "tensor",
+        "if least is not None and n < least:",
+        "if False:",
+        (
+            "tests/test_tensor.py::test_bounded_gates_refuse_one_below_their_least_value[FactorShape]",
+            "tests/test_tensor.py::test_bounded_gates_refuse_one_below_their_least_value[scan_samples]",
+        ),
+    ),
+    Mutant(
+        "_descending lets NaN through: wrong at (nan, 1)",
+        "tensor",
+        "if not np.all(np.isfinite(v)):",
+        "if False:",
+        (
+            "tests/test_spectra.py::test_non_finite_inputs_are_rejected[Spectrum]",
+            "tests/test_spectra.py::test_non_finite_inputs_are_rejected[blocks]",
+            "tests/test_schmidt.py::test_decomposition_rejects_non_finite_entries",
+        ),
+    ),
+    Mutant(
+        "_hermitian lets inf through: wrong at diag(1, -inf)",
+        "tensor",
+        "if not np.all(np.isfinite(a)):",
+        "if False:",
+        (
+            "tests/test_spectra.py::test_non_finite_inputs_are_rejected[DensityMatrix_inf]",
+            "tests/test_spectra.py::test_non_finite_inputs_are_rejected[hermitian_eigen_inf]",
+        ),
+    ),
+    Mutant(
+        "_positions lets a repeated position through: wrong at (1, 1)",
+        "tensor",
+        "if len(set(pos)) != len(pos):",
+        "if False:",
+        (
+            "tests/test_tensor.py::test_partial_trace_rejects_bad_keep_sets",
+            "tests/test_tensor.py::test_permute_rejects_non_permutations",
+            "tests/test_schmidt.py::test_split_validation",
+        ),
+    ),
+)
+
+
+def _copy(tmp: Path) -> Path:
+    """The source, the tests and the pytest settings, copied under ``tmp``."""
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src", tmp / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", tmp / "tests", ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", tmp)
+    return tmp
+
+
+def _pytest(tmp: Path, tests) -> tuple[int, int]:
+    """Run ``tests`` on the copy under ``tmp``, importing its ``src``; return
+    (passed, failed), or raise RuntimeError unless pytest ran exactly them."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-p", "no:cacheprovider", *tests],
+        cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")}, capture_output=True, text=True,
+    )
+    counts = {k.rstrip("s"): int(n) for n, k in re.findall(r"(\d+) (passed|failed|errors?)\b", run.stdout)}
+    passed, failed = counts.get("passed", 0), counts.get("failed", 0) + counts.get("error", 0)
+    if run.returncode not in (0, 1) or passed + failed != len(tests):
+        tail = (run.stdout + run.stderr).strip().splitlines()[-3:]
+        raise RuntimeError(" | ".join(tail))
+    return passed, failed
+
+
+def _status(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _copy(Path(tmp)) / "src" / "bnineq" / f"{mutant.module}.py"
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.fragment) != 1:
+            return f"stale     fragment occurs {text.count(mutant.fragment)} times"
+        path.write_text(text.replace(mutant.fragment, mutant.replacement), encoding="utf-8")
+        try:
+            passed, failed = _pytest(Path(tmp), mutant.tests)
+        except RuntimeError as exc:
+            return f"error     {exc}"
+    if passed:
+        return f"survived  {passed} of {len(mutant.tests)} named tests pass"
+    return f"killed    {failed} of {len(mutant.tests)} named tests fail"
+
+
+def main() -> int:
+    began = time.perf_counter()
+    named = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            passed, _ = _pytest(_copy(Path(tmp)), named)
+        except RuntimeError as exc:
+            passed = f"error ({exc})"
+    print(f"unmutated: {passed} of {len(named)} named tests pass")
+    if passed != len(named):
+        return 1
+    killed = 0
+    for mutant in MUTANTS:
+        status = _status(mutant)
+        killed += status.startswith("killed")
+        print(f"{status}  [{mutant.module}] {mutant.name}", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - began:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

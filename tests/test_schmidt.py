@@ -39,6 +39,8 @@ def test_split_validation():
     with pytest.raises(InputError):
         BipartiteSplit((1,), (3,))  # hole at 2
     with pytest.raises(InputError):
+        BipartiteSplit((1, 1), (2, 3))  # repeat, hole at 4
+    with pytest.raises(InputError):
         BipartiteSplit((), (1,))
 
 

@@ -70,6 +70,8 @@ def test_hermitian_eigen_rejects_non_hermitian():
 def test_spectrum_requires_descending_values():
     with pytest.raises(InputError):
         Spectrum(np.array([0.1, 0.9]))
+    # neighbours are compared, not subtracted, so the extremes do not overflow
+    assert Spectrum([1e308, -1e308]).values.tolist() == [1e308, -1e308]
 
 
 # ----------------------------------------------------------------------- svd
@@ -359,8 +361,15 @@ def test_lapack_failures_raise_numerical_error(monkeypatch, function, argument, 
         lambda: entropy_from_eigenvalues([np.inf]),
         lambda: entanglement_entropy(np.full((2, 2), np.nan)),
         lambda: degenerate_blocks([0.5, np.nan, 0.2]),
+        lambda: DensityMatrix([[np.inf, 0], [0, 1]], FactorShape((2,))),
+        lambda: hermitian_eigen([[1, 0], [0, -np.inf]]),
+        lambda: PureState.normalized(FactorShape((2,)), [np.inf, 1.0]),
+        lambda: PureState.normalized(FactorShape((2,)), [np.nan, 1.0]),
     ],
-    ids=["DensityMatrix", "hermitian_eigen", "Spectrum", "entropy_nan", "entropy_inf", "kernel_nan", "blocks"],
+    ids=[
+        "DensityMatrix", "hermitian_eigen", "Spectrum", "entropy_nan", "entropy_inf", "kernel_nan",
+        "blocks", "DensityMatrix_inf", "hermitian_eigen_inf", "normalized_inf", "normalized_nan",
+    ],
 )
 def test_non_finite_inputs_are_rejected(call):
     with pytest.raises((InputError, NumericalError)):

@@ -81,6 +81,24 @@ def test_integer_gates_accept_integral_values(gate, value):
     INTEGER_GATES[gate](value)
 
 
+#: The least value each bounded gate of ``INTEGER_GATES`` accepts.
+LEAST = {
+    "FactorShape": 1,
+    "canonical_counterexample": 2,
+    "maximize_restarts": 0,
+    "maximize_sweeps": 0,
+    "scan_samples": 1,
+    "haar_unitary_n": 1,
+}
+
+
+@pytest.mark.parametrize("gate", LEAST)
+def test_bounded_gates_refuse_one_below_their_least_value(gate):
+    least = LEAST[gate]
+    with pytest.raises(InputError, match=f"must be >= {least}, got {least - 1}"):
+        INTEGER_GATES[gate](least - 1)
+
+
 def test_shape_rejects_oversized_space():
     with pytest.raises(InputError):
         FactorShape((101, 101, 101))  # 1030301 > 10**6
