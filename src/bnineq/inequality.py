@@ -95,12 +95,12 @@ def _sides(left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
     return out
 
 
-def _rhs(lam: np.ndarray, left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
-    """:func:`bn_rhs` of each decomposition in a stack: coefficients
-    (n, k), left vectors (n, d1*d2, k) and right vectors (n, d3*d4, k),
-    both sides in one :func:`entanglement_entropy` call on :func:`_sides`."""
+def _rhs(lam: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """:func:`bn_rhs` of each decomposition in a stack: coefficients (n, k)
+    and :func:`_sides` stacks (n, 2k, m, n'), both sides in one
+    :func:`entanglement_entropy` call."""
     k = lam.shape[1]
-    s = entanglement_entropy(_sides(left, right, dims))
+    s = entanglement_entropy(sides)
     # One dot product per row through matmul, which sums as ``lam @ s`` does.
     return (lam[:, None, :] @ (s[:, :k] + s[:, k:])[:, :, None])[:, 0, 0]
 
@@ -127,7 +127,8 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
             f"the inequality is stated for the split {ADDITIVITY_SPLIT.left} | "
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
-    return float(_rhs(dec.coefficients[None], dec.left[None], dec.right[None], dec.shape.dims)[0])
+    sides = _sides(dec.left[None], dec.right[None], dec.shape.dims)
+    return float(_rhs(dec.coefficients[None], sides)[0])
 
 
 def bn_gap(
@@ -264,8 +265,11 @@ def _rhs_ascent(lam: np.ndarray, sides: np.ndarray, mask: np.ndarray) -> tuple[f
 
 
 def _rotated(sides: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The :func:`_sides` stack of L q, R conj(q) from that of L, R; padding stays 0."""
-    return (np.array((q.T, q.T.conj())) @ sides.reshape(2, len(q), -1)).reshape(sides.shape)
+    """The :func:`_sides` stack of L q, R conj(q) from the stack (2k, m, n) of
+    L, R, for one q (k, k) or a stack of them (..., k, k); padding stays 0."""
+    qt = q.swapaxes(-1, -2)[..., None, :, :]
+    rotated = np.concatenate((qt, qt.conj()), axis=-3) @ sides.reshape(2, q.shape[-1], -1)
+    return rotated.reshape(*q.shape[:-2], *sides.shape)
 
 
 def _ascend(
@@ -319,16 +323,16 @@ def maximize_rhs(
     Starts from the SVD decomposition across the {1,2} | {3,4} split and
     explores the unitary freedom W of its degenerate coefficient blocks:
     left vectors become L W and right vectors R conj(W), with W
-    block-diagonal over the blocks.  ``restarts`` Haar-random block
-    unitaries seed the search.  The SVD start and the restarts are scored
-    together, by value only, as stacks of at most ``STACK_ELEMENTS``
-    entries; the best start wins, and a later start must beat it by more
-    than ``START_TIE_TOL``, so ties go to the lowest index.  A Riemannian
-    gradient ascent on W then refines the winner, the only start whose
-    gradient is computed, by rotating the zero-padded stack of both sides'
-    vectors as matrices.  Each of at most ``sweeps`` steps moves along the
-    gradient by a Cayley retraction; the step length is Barzilai-Borwein,
-    halved until the step ascends by the Armijo rule.
+    block-diagonal over the blocks.  Every W rotates one zero-padded stack
+    of both sides' vectors as matrices.  The SVD start and ``restarts``
+    Haar-random block unitaries are scored together as rotations of that
+    stack, by value only, in chunks of at most ``STACK_ELEMENTS`` entries;
+    the best start wins, and a later start must beat it by more than
+    ``START_TIE_TOL``, so ties go to the lowest index.  A Riemannian
+    gradient ascent on W then begins from the winner's stack, the only
+    start whose gradient is computed.  Each of at most ``sweeps`` steps
+    moves along the gradient by a Cayley retraction; the step length is
+    Barzilai-Borwein, halved until the step ascends by the Armijo rule.
     The ascent stops as "converged" when the gradient norm is at most
     ``GRAD_TOL`` or when no step ascends, and as "budget" when all
     ``sweeps`` steps are used.  "converged" means a stationary point, not
@@ -370,10 +374,9 @@ def maximize_rhs(
     # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
     # Every start is scored by value only; a later start wins only by more
     # than START_TIE_TOL, so starts equal up to roundoff go to the lowest
-    # index.  A start holds W, L W and R conj(W), k * (k + d1*d2 + d3*d4)
-    # entries.
-    chunk = max(1, STACK_ELEMENTS // (k * (k + d1 * d2 + d3 * d4)))
-    best, value = 0, 0.0
+    # index.  A start holds W and its rotated side stack.
+    sides = _sides(left, right, dims)
+    chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
     for start in range(0, restarts + 1, chunk):
         end = min(start + chunk, restarts + 1)
         first = max(start, 1)
@@ -383,13 +386,11 @@ def maximize_rhs(
             seeds = [derive_seed(seed, (i - 1) * len(wide_blocks) + bi) for i in range(first, end)]
             w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), seeds)
         lams = np.broadcast_to(lam, (end - start, k))
-        values = _rhs(lams, left @ w, right @ np.conj(w), dims)
-        for i, t_value in enumerate(values.tolist(), start):
+        rotated = _rotated(sides, w)
+        for i, t_value in enumerate(_rhs(lams, rotated).tolist(), start):
             if i == 0 or t_value > value + START_TIE_TOL:
-                best, value, best_w = i, t_value, w[i - start]
-    if best:
-        left, right = left @ best_w, right @ np.conj(best_w)
-    sides, used, stop = _ascend(lam, _sides(left, right, dims), mask, sweeps)
+                value, best = t_value, rotated[i - start]
+    sides, used, stop = _ascend(lam, best, mask, sweeps)
     left = sides[:k, :d1, :d2].reshape(k, -1).T
     right = sides[k:, :d3, :d4].reshape(k, -1).T
     best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)

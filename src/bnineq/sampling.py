@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, bn_lhs, bn_rhs
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, bn_lhs, bn_rhs
 from .schmidt import (
     _arranged, _schmidt_stack, _verify_stack, schmidt_decompose, verify_decomposition,
 )
@@ -179,7 +179,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         try:
             lam, left, right = _schmidt_stack(m)
             lhs[start:stop] = _lhs(amps, shape)
-            rhs[start:stop] = _rhs(lam, left, right, shape.dims)
+            rhs[start:stop] = _rhs(lam, _sides(left, right, shape.dims))
             score[start:stop] = _verify_stack(m, lam, left, right)
         except NumericalError:
             for i, psi in enumerate(states, start):

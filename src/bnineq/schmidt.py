@@ -198,14 +198,6 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     if lam.size == 0:
         raise InputError("empty coefficient list")
     threshold = BLOCK_TOL * max(1.0, float(lam[0]))
-    blocks: list[tuple[int, ...]] = []
-    current = [0]
-    for a in range(1, lam.size):
-        if lam[a - 1] - lam[a] <= threshold:
-            current.append(a)
-        else:
-            blocks.append(tuple(current))
-            current = [a]
-    blocks.append(tuple(current))
-    return tuple(blocks)
+    edges = [0, *(np.flatnonzero(lam[:-1] - lam[1:] > threshold) + 1).tolist(), lam.size]
+    return tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
 

@@ -66,7 +66,8 @@ def _hermitian(m, what: str) -> np.ndarray:
         raise InputError(f"{what} must be square, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InputError(f"{what} has non-finite entries")
-    herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    with np.errstate(over="ignore"):  # a huge finite entry deviates by inf
+        herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if not herm_dev <= MATRIX_ATOL:
         raise InputError(f"{what} deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
     return a
@@ -340,7 +341,8 @@ def load_state(path) -> PureState:
             amps[k] = complex(pair[0], pair[1])
         except OverflowError as exc:
             raise InputError(f"state file {path}: amplitude {k} is out of range") from exc
-    norm = _norm(amps)
+    with np.errstate(over="ignore"):  # huge finite amplitudes have norm inf
+        norm = _norm(amps)
     if not (abs(norm - 1.0) <= STATE_FILE_NORM_ATOL):
         raise InputError(
             f"state file {path}: amplitude norm {norm!r} is not 1 within {STATE_FILE_NORM_ATOL}"

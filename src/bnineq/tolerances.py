@@ -43,13 +43,13 @@ RESIDUAL_TOL = 1e-9
 
 #: Stacked evaluations hold at most this many complex entries per stack
 #: (1 MiB): scan's stacks of sample amplitudes and maximize_rhs's stacks of
-#: restart unitaries and rotated Schmidt vectors, so neither the sample
+#: restart unitaries and rotated side stacks, so neither the sample
 #: count nor the restart count can grow working memory without bound.
 STACK_ELEMENTS = 2**16
 
 #: scan refuses more than this many amplitudes in all (samples times total
-#: dimension): about 200 times the README's largest scan, and few enough
-#: that an accepted scan ends within minutes (about one at d = 2).
+#: dimension): 1.2 times the README's largest scan (100,000 samples at d = 3),
+#: and few enough that an accepted scan ends in minutes (about one at d = 2).
 MAX_SCAN_AMPLITUDES = 10**7
 
 #: A scanned sample counts as a violation when its gap in nats is below

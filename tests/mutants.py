@@ -152,6 +152,31 @@ MUTANTS = (
             "tests/test_schmidt.py::test_split_validation",
         ),
     ),
+    Mutant(
+        "rotations (q^T, q^H) joined along axis 0: wrong for a stack of q",
+        "inequality",
+        "qt.conj()), axis=-3)",
+        "qt.conj()), axis=0)",
+        (
+            "tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",
+            "tests/test_inequality.py::test_maximize_keeps_the_first_start_when_every_start_ties[2]",
+            "tests/test_inequality.py::test_maximize_keeps_the_first_start_when_every_start_ties[3]",
+        ),
+    ),
+    Mutant(
+        "right side rotated by q, not conj(q): wrong at any complex q",
+        "inequality",
+        "np.concatenate((qt, qt.conj())",
+        "np.concatenate((qt, qt)",
+        ("tests/test_properties.py::test_rotating_the_side_stack_rotates_the_columns",),
+    ),
+    Mutant(
+        "degenerate_blocks cuts at gaps >= the threshold: wrong at (2, 1, 0) * BLOCK_TOL",
+        "schmidt",
+        "lam[1:] > threshold",
+        "lam[1:] >= threshold",
+        ("tests/test_schmidt.py::test_degenerate_blocks_examples",),
+    ),
 )
 
 

@@ -325,6 +325,11 @@ def test_exit_2_on_malformed_state_files(capsys, tmp_path):
     wrong_norm.write_text(json.dumps(doc))
     assert main(["check", "--input", str(wrong_norm)]) == 2
 
+    huge = tmp_path / "huge.json"  # finite, but the norm overflows to inf
+    doc["amplitudes"] = [[1e200, 0.0]] * 16
+    huge.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(huge)]) == 2
+
     two_factors = tmp_path / "two.json"
     save_state(haar_state(FactorShape((2, 2)), 1), two_factors)
     assert main(["check", "--input", str(two_factors)]) == 2

@@ -449,7 +449,7 @@ def test_the_entropy_kernels_never_call_the_svd(monkeypatch, dims):
         raise AssertionError("the entropy path called the SVD")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    assert _rhs(lam[None], left[None], right[None], dims)[0] == want[0]
+    assert _rhs(lam[None], sides[None])[0] == want[0]
     value, grad = _rhs_ascent(lam, sides, mask)
     assert value == want[1][0] and np.array_equal(grad, want[1][1])
     entanglement_entropy_grad(left.T.reshape(k, *dims[:2]))
@@ -466,9 +466,10 @@ def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
         assert verify_decomposition(s.state, dec) <= 1e-10
 
 
-def test_maximize_makes_one_svd_one_record_and_three_side_stacks(monkeypatch):
-    # _sides runs for the start scoring, the ascent's start and the report,
-    # however many steps the ascent takes (5 here).
+def test_maximize_makes_one_svd_one_record_and_two_side_stacks(monkeypatch):
+    # _sides runs twice: once for the stack that every start and every step
+    # of the ascent rotates, once for the report, however many steps the
+    # ascent takes (5 here).
     s = canonical_counterexample(2)
     calls = collections.Counter()
 
@@ -486,7 +487,7 @@ def test_maximize_makes_one_svd_one_record_and_three_side_stacks(monkeypatch):
     monkeypatch.setattr(SchmidtDecomposition, "__post_init__", post_init)
     _, report = maximize_rhs(s, seed=derive_seed(0, 0))
     assert report.state_descriptor == "restarts=20 sweeps_used=5/2000 stop=converged"
-    assert calls == {"svd": 1, "qr": 1, "eigvalsh": 3, "SchmidtDecomposition": 1, "_sides": 3}
+    assert calls == {"svd": 1, "qr": 1, "eigvalsh": 3, "SchmidtDecomposition": 1, "_sides": 2}
 
 
 def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):

@@ -110,10 +110,18 @@ def test_rotating_the_side_stack_rotates_the_columns(seed, dims):
     dec = schmidt_decompose(haar_state(FactorShape(dims), seed), ADDITIVITY_SPLIT)
     q = haar_unitary(dec.rank, derive_seed(seed, 1))
     rotated = apply_freedom(dec, q)
-    stack = _rotated(_sides(dec.left, dec.right, dims), q)
+    sides = _sides(dec.left, dec.right, dims)
+    stack = _rotated(sides, q)
     assert np.max(np.abs(stack - _sides(rotated.left, rotated.right, dims))) <= 1e-14
     padding = np.ones(stack.shape, dtype=bool)
     padding[: dec.rank, :d1, :d2] = padding[dec.rank :, :d3, :d4] = False
     assert padding.any() and np.all(stack[padding] == 0.0)
     mask = np.ones((dec.rank, dec.rank), dtype=bool)
     assert abs(_rhs_ascent(dec.coefficients, stack, mask)[0] - bn_rhs(rotated)) <= 1e-12
+    # A stack of unitaries rotates the one side stack into one stack per q.
+    qs = np.stack([haar_unitary(dec.rank, derive_seed(seed, j)) for j in (2, 3, 4)])
+    stacks = _rotated(sides, qs)
+    assert stacks.shape == (3, *stack.shape)
+    for j, q in enumerate(qs):
+        assert np.array_equal(stacks[j], _rotated(sides, q))
+    assert np.all(stacks[:, padding] == 0.0)

@@ -21,6 +21,7 @@ from bnineq import (
     schmidt_decompose,
     verify_decomposition,
 )
+from bnineq.tolerances import BLOCK_TOL
 from helpers import apply_freedom, basis_state, kron_state
 
 
@@ -146,6 +147,8 @@ def test_degenerate_blocks_examples():
     assert degenerate_blocks(np.array([0.25, 0.25, 0.25, 0.25])) == ((0, 1, 2, 3),)
     assert degenerate_blocks(np.array([0.5, 0.3, 0.2])) == ((0,), (1,), (2,))
     assert degenerate_blocks(np.array([0.5, 0.5, 0.3, 0.2])) == ((0, 1), (2,), (3,))
+    # both gaps equal BLOCK_TOL * max(1, lambda_max) exactly: one block
+    assert degenerate_blocks(np.array([2 * BLOCK_TOL, BLOCK_TOL, 0.0])) == ((0, 1, 2),)
 
 
 def test_degenerate_blocks_chains_near_ties():

@@ -376,6 +376,20 @@ def test_non_finite_inputs_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]], FactorShape((2,))),
+        lambda: hermitian_eigen([[0, 1e308], [-1e308, 0]]),
+    ],
+    ids=["DensityMatrix", "hermitian_eigen"],
+)
+def test_huge_finite_inputs_are_rejected(call):
+    # a - a^H overflows to inf here: a deviation the Hermitian gate refuses
+    with pytest.raises(InputError, match="deviates from Hermitian by inf"):
+        call()
+
+
 def test_density_matrix_validation():
     shape = FactorShape((2,))
     with pytest.raises(InputError):
