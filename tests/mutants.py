@@ -171,6 +171,30 @@ MUTANTS = (
         ("tests/test_properties.py::test_rotating_the_side_stack_rotates_the_columns",),
     ),
     Mutant(
+        "seed words returned as strided rows: PCG64 reads the neighbouring seeds' words",
+        "sampling",
+        "np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)",
+        "(out[0::2] | out[1::2] << 32).T",
+        (
+            "tests/test_sampling.py::test_generators_built_from_the_seed_words_are_default_rng",
+            "tests/test_sampling.py::test_haar_unitaries_equal_the_per_seed_draw[2]",
+        ),
+    ),
+    Mutant(
+        "seed's high word taken as s >> 31: wrong at 2^31",
+        "sampling",
+        "s >> 32",
+        "s >> 31",
+        ("tests/test_sampling.py::test_seed_words_equal_numpys_seed_sequence",),
+    ),
+    Mutant(
+        "SeedSequence's first pool hash constant off by one bit: wrong at every seed",
+        "sampling",
+        "0x43B0D7E5",
+        "0x43B0D7E4",
+        ("tests/test_sampling.py::test_seed_words_equal_numpys_seed_sequence",),
+    ),
+    Mutant(
         "degenerate_blocks cuts at gaps >= the threshold: wrong at (2, 1, 0) * BLOCK_TOL",
         "schmidt",
         "lam[1:] > threshold",

@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +485,20 @@ def test_argparse_rejects_unknown_flags():
     with pytest.raises(SystemExit) as err:
         main(["counterexample", "--dim", "2", "--log-base", "10"])
     assert err.value.code == 2
+
+
+def test_counterexample_leaves_numpy_random_unloaded():
+    # Loading numpy.random adds about 15-19 ms and 6 MiB to a cold start, and only
+    # the Haar draws need it, so sampling reaches it inside its functions.
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "from bnineq.cli import main; main(['counterexample', '--dim', '2']); "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    src = str(Path(bnineq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # numpy 2 loads numpy.random lazily; an older numpy imports it itself
+    before, after = run.stdout.split()[-2:]
+    assert after == before

@@ -14,7 +14,7 @@ from bnineq import (
     scan,
     schmidt_decompose,
 )
-from bnineq.sampling import _haar_unitaries
+from bnineq.sampling import _haar_unitaries, _seed_words, _Words
 from bnineq.tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS
 
 Q4 = FactorShape((2, 2, 2, 2))
@@ -111,6 +111,28 @@ def test_haar_unitaries_equal_the_per_seed_draw(n):
         diag[diag == 0] = 1.0
         assert np.array_equal(u, q * (diag / np.abs(diag)))
         assert np.array_equal(u, haar_unitary(n, seed))
+
+
+SEED_WORD_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+RANDOM_SEEDS = np.random.default_rng(19).integers(0, 2**64, 2000, dtype=np.uint64).tolist()
+
+
+def test_seed_words_equal_numpys_seed_sequence():
+    seeds = SEED_WORD_EDGES + RANDOM_SEEDS
+    words = _seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for s, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(s).generate_state(4, np.uint64)), s
+    assert _seed_words([]).shape == (0, 4)
+
+
+def test_generators_built_from_the_seed_words_are_default_rng():
+    # the construction of _haar_unitaries, row by row of one batch
+    seeds = (SEED_WORD_EDGES + RANDOM_SEEDS)[:300]
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    for s, row in zip(seeds, _seed_words(seeds)):
+        draw = np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(9)
+        assert np.array_equal(draw, np.random.default_rng(s).standard_normal(9)), s
 
 
 def test_haar_unitary_entry_statistics():
