@@ -12,6 +12,11 @@ Subcommands map onto the library's main entry points:
 * ``maximize`` searches the Schmidt freedom of a state for the largest
   right-hand side.
 
+Each subparser carries its handler as ``args.run``; a handler reads its
+own flags and returns its report, and ``main`` puts the ``"command"`` key
+first.  The parser is built per call, so a handler patched on this module
+is the one that runs.
+
 The library computes every entropy in nats.  This module alone knows about
 bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 where the
 report builds that field, and nothing else.
@@ -119,33 +124,31 @@ def _scan_json(doc: dict) -> str:
     return f'{head}"samples": [\n{rows}\n  ]{tail}'
 
 
-def run_counterexample(dim: int, log_base: str, unit: float) -> dict:
-    s = canonical_counterexample(dim)
-    product = bn_gap(s, product_decomposition(dim), source="product")
-    entangled = bn_gap(s, entangled_decomposition(dim), source="entangled")
+def run_counterexample(args: argparse.Namespace, unit: float) -> dict:
+    s = canonical_counterexample(args.dim)
+    product = bn_gap(s, product_decomposition(args.dim))
+    entangled = bn_gap(s, entangled_decomposition(args.dim))
     return {
-        "command": "counterexample",
-        "dim": dim,
-        "log_base": log_base,
+        "dim": args.dim,
+        "log_base": args.log_base,
         "lhs": entangled.lhs * unit,
         "rhs_product": product.rhs * unit,
         "rhs_entangled": entangled.rhs * unit,
         "gap_entangled": entangled.gap * unit,
-        "theoretical_entangled_rhs": 2.0 * math.log(dim) * unit,
+        "theoretical_entangled_rhs": 2.0 * math.log(args.dim) * unit,
         "residual_product": product.residual,
         "residual_entangled": entangled.residual,
     }
 
 
-def run_deform(dim: int, eps: float, log_base: str, unit: float) -> dict:
-    state, dec = deformed_counterexample(dim, eps)
-    report = bn_gap(state, dec, source="deformed", descriptor=f"deformed dim={dim} eps={eps}")
+def run_deform(args: argparse.Namespace, unit: float) -> dict:
+    state, dec = deformed_counterexample(args.dim, args.eps)
+    report = bn_gap(state, dec)
     blocks = degenerate_blocks(dec.coefficients)
     return {
-        "command": "deform",
-        "dim": dim,
-        "eps": eps,
-        "log_base": log_base,
+        "dim": args.dim,
+        "eps": args.eps,
+        "log_base": args.log_base,
         "lhs": report.lhs * unit,
         "rhs": report.rhs * unit,
         "gap": report.gap * unit,
@@ -154,19 +157,18 @@ def run_deform(dim: int, eps: float, log_base: str, unit: float) -> dict:
     }
 
 
-def run_scan(dim: int, samples: int, seed: int, log_base: str, unit: float) -> dict:
-    report = scan(samples, FactorShape((dim, dim, dim, dim)), seed)
+def run_scan(args: argparse.Namespace, unit: float) -> dict:
+    report = scan(args.samples, FactorShape((args.dim,) * 4), args.seed)
     if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
     ok = np.delete(np.arange(report.n_samples), list(report.errors))
     arrays = (report.seeds, report.lhs * unit, report.rhs * unit, report.gap * unit)
     values = zip(ok.tolist(), *(a[ok].tolist() for a in arrays))
     return {
-        "command": "scan",
         "n_samples": report.n_samples,
         "shape": list(report.shape.dims),
         "master_seed": report.master_seed,
-        "log_base": log_base,
+        "log_base": args.log_base,
         "min_gap": report.min_gap * unit,
         "max_gap": report.max_gap * unit,
         "mean_gap": report.mean_gap * unit,
@@ -182,14 +184,13 @@ def run_scan(dim: int, samples: int, seed: int, log_base: str, unit: float) -> d
     }
 
 
-def run_check(input_path: str, log_base: str, unit: float) -> dict:
-    s = FourFactorState(load_state(input_path))
+def run_check(args: argparse.Namespace, unit: float) -> dict:
+    s = FourFactorState(load_state(args.input))
     dec = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
-    report = bn_gap(s, dec, source="svd", descriptor=f"state file {input_path}")
+    report = bn_gap(s, dec, source="svd")
     return {
-        "command": "check",
-        "input": input_path,
-        "log_base": log_base,
+        "input": args.input,
+        "log_base": args.log_base,
         "lhs": report.lhs * unit,
         "rhs": report.rhs * unit,
         "gap": report.gap * unit,
@@ -199,33 +200,24 @@ def run_check(input_path: str, log_base: str, unit: float) -> dict:
     }
 
 
-def run_maximize(
-    input_path: str | None,
-    dim: int | None,
-    restarts: int,
-    sweeps: int,
-    seed: int,
-    log_base: str,
-    unit: float,
-) -> dict:
-    if (input_path is None) == (dim is None):
+def run_maximize(args: argparse.Namespace, unit: float) -> dict:
+    if (args.input is None) == (args.dim is None):
         raise InputError("maximize needs exactly one of --input or --dim")
-    if input_path is not None:
-        s = FourFactorState(load_state(input_path))
-        origin = input_path
+    if args.input is not None:
+        s = FourFactorState(load_state(args.input))
+        origin = args.input
     else:
-        s = canonical_counterexample(dim)
-        origin = f"canonical dim={dim}"
+        s = canonical_counterexample(args.dim)
+        origin = f"canonical dim={args.dim}"
     # maximize_rhs first: it refuses an oversized search before any SVD.
-    dec, report = maximize_rhs(s, restarts=restarts, sweeps=sweeps, seed=seed)
+    dec, report = maximize_rhs(s, restarts=args.restarts, sweeps=args.sweeps, seed=args.seed)
     initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
     return {
-        "command": "maximize",
         "state": origin,
-        "log_base": log_base,
-        "restarts": restarts,
-        "sweeps": sweeps,
-        "seed": seed,
+        "log_base": args.log_base,
+        "restarts": args.restarts,
+        "sweeps": args.sweeps,
+        "seed": args.seed,
         "initial_rhs": initial_rhs * unit,
         "best_rhs": report.rhs * unit,
         "lhs": report.lhs * unit,
@@ -254,29 +246,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--log-base", choices=["e", "2"], default="e")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("counterexample", help="evaluate the canonical violating family")
     p.add_argument("--dim", type=int, required=True, help="local dimension d >= 2")
-    common(p)
+    common(p, run_counterexample)
 
     p = sub.add_parser("deform", help="evaluate the deformed family (unique Schmidt form)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eps", type=float, required=True, help="deformation strength in (0, 1)")
-    common(p)
+    common(p, run_deform)
 
     p = sub.add_parser("scan", help="seeded scan over Haar-random states")
     p.add_argument("--dim", type=int, required=True, help="scan states of shape (d, d, d, d)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, run_scan)
 
     p = sub.add_parser("check", help="evaluate a state loaded from a JSON file")
     p.add_argument("--input", required=True, help="state file path")
-    common(p)
+    common(p, run_check)
 
     p = sub.add_parser("maximize", help="search the Schmidt freedom for the largest rhs")
     p.add_argument("--input", default=None, help="state file path")
@@ -284,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--sweeps", type=int, default=2000, help="gradient ascent steps")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, run_maximize)
 
     return parser
 
@@ -294,18 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     unit = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0)
     try:
-        if args.command == "counterexample":
-            doc = run_counterexample(args.dim, args.log_base, unit)
-        elif args.command == "deform":
-            doc = run_deform(args.dim, args.eps, args.log_base, unit)
-        elif args.command == "scan":
-            doc = run_scan(args.dim, args.samples, args.seed, args.log_base, unit)
-        elif args.command == "check":
-            doc = run_check(args.input, args.log_base, unit)
-        else:
-            doc = run_maximize(
-                args.input, args.dim, args.restarts, args.sweeps, args.seed, args.log_base, unit
-            )
+        doc = {"command": args.command, **args.run(args, unit)}
         if args.format == "json":
             text = _scan_json(doc) if args.command == "scan" else json.dumps(doc, indent=2)
             _emit(text + "\n", args.output)

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 * Basis labels inside a single factor are 0-based (0 .. d-1).
 
 Input rules, each written once here, raise :class:`InputError`: ``_as_int``
-refuses NaN, inf, fractions, non-numbers and integers below ``least``;
+refuses NaN, inf, fractions, bools, non-numbers and integers below ``least``;
 ``_descending``, non-finite or ascending real vectors; ``_hermitian``,
 non-square, non-finite or non-Hermitian matrices; ``_positions``, empty,
 repeated or out-of-range factor positions.
@@ -37,7 +37,7 @@ def _as_int(value, what: str, least: int | None = None) -> int:
     """``value`` as an int, at least ``least`` if given (2, ``np.int64(2)``
     and 2.0 all give 2)."""
     try:
-        n = int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:

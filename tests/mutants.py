@@ -121,6 +121,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_as_int takes a bool as 0 or 1: wrong at True",
+        "tensor",
+        "n = None if isinstance(value, (bool, np.bool_)) else int(value)",
+        "n = int(value)",
+        (
+            "tests/test_tensor.py::test_integer_gates_refuse_non_integral_values[FactorShape-True]",
+            "tests/test_tensor.py::test_integer_gates_refuse_non_integral_values[scan_samples-value5]",
+        ),
+    ),
+    Mutant(
         "_descending lets NaN through: wrong at (nan, 1)",
         "tensor",
         "if not np.all(np.isfinite(v)):",
@@ -200,6 +210,13 @@ MUTANTS = (
         "lam[1:] > threshold",
         "lam[1:] >= threshold",
         ("tests/test_schmidt.py::test_degenerate_blocks_examples",),
+    ),
+    Mutant(
+        "maximize subparser wired to the check handler: wrong at maximize --dim 2",
+        "cli",
+        "common(p, run_maximize)",
+        "common(p, run_check)",
+        ("tests/test_cli.py::test_maximize_from_dim",),
     ),
 )
 

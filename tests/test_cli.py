@@ -28,7 +28,7 @@ from bnineq import (
     state_to_document,
     verify_decomposition,
 )
-from bnineq.cli import _scan_json, main, run_scan
+from bnineq.cli import _scan_json, build_parser, main, run_scan
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -437,13 +437,17 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", 1.0 / LN2)], ids=["e", "2"])
 def test_scan_json_writer_matches_the_json_encoder(dim, log_base, unit):
-    doc = run_scan(dim, 30, 7, log_base, unit)
+    args = build_parser().parse_args(
+        ["scan", "--dim", str(dim), "--samples", "30", "--seed", "7", "--log-base", log_base]
+    )
+    doc = {"command": "scan", **run_scan(args, unit)}
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 
 
 def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
     fail_svd_on(haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes)
-    doc = run_scan(2, 20, 3, "e", 1.0)
+    args = build_parser().parse_args(["scan", "--dim", "2", "--samples", "20", "--seed", "3"])
+    doc = {"command": "scan", **run_scan(args, 1.0)}
     assert [row["sample_index"] for row in doc["errors"]] == [7]
     assert _scan_json(doc) == json.dumps(doc, indent=2)
 
@@ -463,6 +467,21 @@ def test_scan_json_writer_matches_the_json_encoder_on_non_finite_floats():
     }
     assert _scan_json(doc) == json.dumps(doc, indent=2)
     assert _scan_json({**doc, "samples": []}) == json.dumps({**doc, "samples": []}, indent=2)
+
+
+def test_main_looks_up_the_handler_at_call_time(capsys, monkeypatch):
+    # The benchmark tracer patches cli.run_scan between calls, so a parser
+    # built once at import would keep running the unpatched handler.
+    calls = []
+
+    def counted(args, unit):
+        calls.append(args.samples)
+        return run_scan(args, unit)
+
+    monkeypatch.setattr(bnineq.cli, "run_scan", counted)
+    assert main(["scan", "--dim", "2", "--samples", "2"]) == 0
+    assert calls == [2]
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 2
 
 
 def test_scan_refuses_an_oversized_run_with_exit_2(capsys):

@@ -68,7 +68,7 @@ INTEGER_GATES = {
 }
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "2", True, np.True_])
 @pytest.mark.parametrize("gate", INTEGER_GATES)
 def test_integer_gates_refuse_non_integral_values(gate, value):
     with pytest.raises(InputError, match="must be (an integer|integers)"):
