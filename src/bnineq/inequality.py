@@ -326,19 +326,21 @@ def maximize_rhs(
     block-diagonal over the blocks.  Every W rotates one zero-padded stack
     of both sides' vectors as matrices.  The SVD start and ``restarts``
     Haar-random block unitaries are scored together as rotations of that
-    stack, by value only, in chunks of at most ``STACK_ELEMENTS`` entries;
-    the best start wins, and a later start must beat it by more than
-    ``START_TIE_TOL``, so ties go to the lowest index.  A Riemannian
-    gradient ascent on W then begins from the winner's stack, the only
-    start whose gradient is computed.  Each of at most ``sweeps`` steps
-    moves along the gradient by a Cayley retraction; the step length is
-    Barzilai-Borwein, halved until the step ascends by the Armijo rule.
-    The ascent stops as "converged" when the gradient norm is at most
-    ``GRAD_TOL`` or when no step ascends, and as "budget" when all
-    ``sweeps`` steps are used.  "converged" means a stationary point, not
-    a certified maximum: on the canonical family the SVD start is a
-    product basis where the gradient vanishes, so ``restarts=0`` stops
-    there at rhs 0.
+    stack, by value only, in chunks of at most ``STACK_ELEMENTS`` entries.
+    Wide block b draws its restarts in order from one generator,
+    ``default_rng([seed mod 2^64, b])``, so restart r is that stream's r-th
+    draw whatever the chunking.  The best start wins, and a later start
+    must beat it by more than ``START_TIE_TOL``, so ties go to the lowest
+    index.  A Riemannian gradient ascent on W then begins from the
+    winner's stack, the only start whose gradient is computed.  Each of
+    at most ``sweeps`` steps moves along the gradient by a Cayley
+    retraction; the step length is Barzilai-Borwein, halved until the step
+    ascends by the Armijo rule.  The ascent stops as "converged" when the
+    gradient norm is at most ``GRAD_TOL`` or when no step ascends, and as
+    "budget" when all ``sweeps`` steps are used.  "converged" means a
+    stationary point, not a certified maximum: on the canonical family the
+    SVD start is a product basis where the gradient vanishes, so
+    ``restarts=0`` stops there at rhs 0.
 
     Every accepted step ascends, so the result is never worse than the
     SVD start.  States with no degenerate block have no freedom and come
@@ -347,7 +349,7 @@ def maximize_rhs(
     used and the stop reason.  A search whose estimated work exceeds
     ``MAX_SEARCH_WORK`` raises :class:`InputError` before it starts.
     """
-    from .sampling import _haar_unitaries, derive_seed
+    from .sampling import _MASK64, _haar_unitaries
 
     restarts, sweeps = _as_int(restarts, "restarts", 0), _as_int(sweeps, "sweeps", 0)
     seed = _as_int(seed, "seed")
@@ -376,15 +378,16 @@ def maximize_rhs(
     # than START_TIE_TOL, so starts equal up to roundoff go to the lowest
     # index.  A start holds W and its rotated side stack.
     sides = _sides(left, right, dims)
+    rngs = [np.random.default_rng([seed & _MASK64, bi]) for bi in range(len(wide_blocks))]
     chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
     for start in range(0, restarts + 1, chunk):
         end = min(start + chunk, restarts + 1)
         first = max(start, 1)
         w = np.empty((end - start, k, k), dtype=np.complex128)
         w[:] = np.eye(k)
-        for bi, b in enumerate(wide_blocks):
-            seeds = [derive_seed(seed, (i - 1) * len(wide_blocks) + bi) for i in range(first, end)]
-            w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), seeds)
+        for rng, b in zip(rngs, wide_blocks):
+            u = _haar_unitaries(len(b), rng, end - first)
+            w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = u
         lams = np.broadcast_to(lam, (end - start, k))
         rotated = _rotated(sides, w)
         for i, t_value in enumerate(_rhs(lams, rotated).tolist(), start):

@@ -1,15 +1,14 @@
 """Seeded Haar-random states and unitaries, and deterministic scans that
 evaluate the inequality over many random four-factor states.
 
-Reproducibility contract: every random draw goes through its own
-``numpy.random.default_rng``, seeded directly (``haar_state``,
-``haar_unitary``) or by the SplitMix64 mixer :func:`derive_seed`: scan
-sample i by ``derive_seed(master_seed, i)``; in ``maximize_rhs``, restart
-r of wide block b < n_blocks by ``derive_seed(seed, r * n_blocks + b)``.
-The same inputs produce the same outputs on every run.  A generator's
-state is a pure function of its seed (NumPy's ``SeedSequence`` hash), so
-the restart draw hashes all its seeds in one array pass: the stream of
-``default_rng`` per seed, at a fraction of the cost.
+Reproducibility contract: every random draw comes from a
+``numpy.random.default_rng`` with a fixed seed.  ``haar_state`` and
+``haar_unitary`` seed it with their ``seed`` (mod 2^64); scan sample i
+with ``derive_seed(master_seed, i)``, the SplitMix64 mixer below.  In
+``maximize_rhs``, wide block b draws its restarts in order from one
+generator, ``default_rng([seed mod 2^64, b])``: restart r takes that
+stream's r-th Ginibre pair, however the starts are chunked.  The same
+inputs produce the same outputs on every run.
 """
 
 from __future__ import annotations
@@ -63,69 +62,23 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     factorization's phase convention and makes the distribution exactly
     Haar.  ``n = 1`` gives a single uniformly random phase.
     """
-    return _haar_unitaries(n, [_as_int(seed, "seed")])[0]
+    return _haar_unitaries(n, np.random.default_rng(_as_int(seed, "seed") & _MASK64), 1)[0]
 
 
-def _haar_unitaries(n: int, seeds) -> np.ndarray:
-    """:func:`haar_unitary` of each seed, as a stack (len(seeds), n, n).
+def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` Haar unitaries (count, n, n) of the generator ``rng``.
 
-    Each seed draws its Ginibre matrix from its own generator, so entry i
-    equals ``haar_unitary(n, seeds[i])``; one :func:`_seed_words` pass
-    builds them all, and the QR and the phase fix run once on the stack.
+    One Ginibre draw (count, 2, n, n), then one QR and one phase fix on the
+    stack.  Consecutive calls continue one stream: a call for 5 equals a
+    call for 2 followed by a call for 3.
     """
     n = _as_int(n, "unitary dimension", 1)
-    x = np.empty((len(seeds), 2, n, n))
-    np.random.bit_generator.ISeedSequence.register(_Words)
-    for row, words in zip(x, _seed_words([int(s) & _MASK64 for s in seeds])):
-        np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=row)
+    x = rng.standard_normal((count, 2, n, n))
     z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-# SeedSequence's (xor, multiplier) pairs (numpy/random/bit_generator.pyx): its
-# 4 + 12 pool and 8 output hashes; _CROSS[i] hashes pool row i into the others.
-_POOL_HASH, _OUT_HASH = (
-    np.array([[h * m**i & 0xFFFFFFFF for i in range(n)] for h in (a, a * m)], np.uint32)[..., None]
-    for a, m, n in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8))
-)
-_MIX = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_CROSS = [(np.delete(np.arange(4), i), *_POOL_HASH[:, 4 + 3 * i:7 + 3 * i]) for i in range(4)]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _seed_words(seeds) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` of each 64-bit seed
-    s, as C-contiguous rows (len(seeds), 4), since PCG64 reads a row's
-    buffer.  NumPy's hash in uint32 arithmetic on the whole batch: the
-    seed's low and high words (a missing high word hashes as 0 in NumPy
-    too), 4 pool hashes, 12 cross-mixes as 4 steps, 8 output words.
-    """
-    s = np.array(seeds, dtype=np.uint64)
-    pool = np.zeros((4, s.size), dtype=np.uint32)
-    pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
-    pool = _hashmix(pool, *_POOL_HASH[:, :4])
-    for i, (rows, xor, mult) in enumerate(_CROSS):
-        mixed = _MIX[0] * pool[rows] - _MIX[1] * _hashmix(pool[i], xor, mult)
-        pool[rows] = mixed ^ (mixed >> 16)
-    out = _hashmix(np.concatenate((pool, pool)), *_OUT_HASH).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
-
-
-class _Words:
-    """A seed sequence that hands PCG64 one row of :func:`_seed_words`."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=None) -> np.ndarray:
-        return self.words
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,28 +181,28 @@ MUTANTS = (
         ("tests/test_properties.py::test_rotating_the_side_stack_rotates_the_columns",),
     ),
     Mutant(
-        "seed words returned as strided rows: PCG64 reads the neighbouring seeds' words",
+        "every wide block drawn from generator 0: wrong with two blocks",
+        "inequality",
+        "[seed & _MASK64, bi]",
+        "[seed & _MASK64, 0]",
+        ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
+    ),
+    Mutant(
+        "each chunk of starts restarts the block streams: wrong past the first chunk",
+        "inequality",
+        "zip(rngs, wide_blocks)",
+        "zip([np.random.default_rng([seed & _MASK64, bi]) for bi in range(len(rngs))], wide_blocks)",
+        ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
+    ),
+    Mutant(
+        "Ginibre real and imaginary parts swapped: wrong at every seed",
         "sampling",
-        "np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)",
-        "(out[0::2] | out[1::2] << 32).T",
+        "(x[:, 0] + 1j * x[:, 1])",
+        "(x[:, 1] + 1j * x[:, 0])",
         (
-            "tests/test_sampling.py::test_generators_built_from_the_seed_words_are_default_rng",
             "tests/test_sampling.py::test_haar_unitaries_equal_the_per_seed_draw[2]",
+            "tests/test_sampling.py::test_haar_unitaries_equal_the_per_seed_draw[4]",
         ),
-    ),
-    Mutant(
-        "seed's high word taken as s >> 31: wrong at 2^31",
-        "sampling",
-        "s >> 32",
-        "s >> 31",
-        ("tests/test_sampling.py::test_seed_words_equal_numpys_seed_sequence",),
-    ),
-    Mutant(
-        "SeedSequence's first pool hash constant off by one bit: wrong at every seed",
-        "sampling",
-        "0x43B0D7E5",
-        "0x43B0D7E4",
-        ("tests/test_sampling.py::test_seed_words_equal_numpys_seed_sequence",),
     ),
     Mutant(
         "degenerate_blocks cuts at gaps >= the threshold: wrong at (2, 1, 0) * BLOCK_TOL",

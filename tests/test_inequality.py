@@ -33,6 +33,7 @@ from bnineq import (
 )
 from bnineq import inequality
 from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
+from bnineq.sampling import _haar_unitaries
 from bnineq.spectra import entanglement_entropy_grad
 from bnineq.tolerances import STACK_ELEMENTS, START_TIE_TOL
 from helpers import apply_freedom, basis_state, kron_state
@@ -491,11 +492,12 @@ def test_maximize_makes_one_svd_one_record_and_two_side_stacks(monkeypatch):
 
 
 def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
-    """maximize_rhs with its starts scored one at a time: one haar_unitary
-    per block and one _rhs_ascent per start, the first best kept unless a
-    later start beats it by more than START_TIE_TOL, then the same ascent.
-    Returns the decomposition, its rhs, the descriptor and the winning
-    start (0 for the SVD start, r + 1 for restart r)."""
+    """maximize_rhs with its starts scored one at a time: one unitary per
+    block, the next draw of that block's generator, and one _rhs_ascent per
+    start, the first best kept unless a later start beats it by more than
+    START_TIE_TOL, then the same ascent.  Returns the decomposition, its
+    rhs, the descriptor and the winning start (0 for the SVD start, r + 1
+    for restart r)."""
     dims = s.state.shape.dims
     dec0 = schmidt_decompose(s.state, ADDITIVITY_SPLIT)
     wide = [b for b in degenerate_blocks(dec0.coefficients) if len(b) > 1]
@@ -507,10 +509,11 @@ def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
     lmat, rmat = dec0.left, dec0.right
     value, _ = _rhs_ascent(lam, _sides(lmat, rmat, dims), mask)
     best = 0
+    rngs = [np.random.default_rng([seed & (2**64 - 1), bi]) for bi in range(len(wide))]
     for r in range(restarts):
         w = np.eye(k, dtype=np.complex128)
-        for bi, b in enumerate(wide):
-            w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, r * len(wide) + bi))
+        for rng_b, b in zip(rngs, wide):
+            w[np.ix_(b, b)] = _haar_unitaries(len(b), rng_b, 1)[0]
         trial = (dec0.left @ w, dec0.right @ np.conj(w))
         t_value, _ = _rhs_ascent(lam, _sides(*trial, dims), mask)
         if t_value > value + START_TIE_TOL:
@@ -549,7 +552,10 @@ def test_maximize_scores_its_starts_as_the_sequential_loop_does():
     cases = [(canonical_counterexample(2), {"seed": derive_seed(0, k)}) for k in range(20)]
     cases += [(canonical_counterexample(3), {"seed": derive_seed(0, k)}) for k in range(5)]
     cases += [(two, {"seed": k}) for k in range(5)] + [(flat, {"seed": k}) for k in range(5)]
-    cases += [(d4, {"restarts": 100, "sweeps": 20, "seed": k}) for k in (7, 9)]
+    # Seeds 71 and 40 were found by scoring the 101 starts of seeds 0, 1, ...
+    # at d = 4: they are the first seeds whose winners are start 85 (the
+    # first of the second stack) and start 100 (the last).
+    cases += [(d4, {"restarts": 100, "sweeps": 20, "seed": k}) for k in (71, 40)]
     cases += [(canonical_counterexample(2), {"restarts": 0})]
     winners = {}
     for s, kwargs in cases:
@@ -563,7 +569,7 @@ def test_maximize_scores_its_starts_as_the_sequential_loop_does():
     assert report.rhs == 0.0  # restarts=0 stops at the product start
     assert all(winners[two, k] > 0 for k in range(5))
     # the winners are the first and the last start of the second stack
-    assert (winners[d4, 7], winners[d4, 9]) == (stack, 100)
+    assert (winners[d4, 71], winners[d4, 40]) == (stack, 100)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -14,7 +14,7 @@ from bnineq import (
     scan,
     schmidt_decompose,
 )
-from bnineq.sampling import _haar_unitaries, _seed_words, _Words
+from bnineq.sampling import _haar_unitaries
 from bnineq.tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS
 
 Q4 = FactorShape((2, 2, 2, 2))
@@ -99,40 +99,21 @@ def test_haar_unitary_determinism_and_scalar_case():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_haar_unitaries_equal_the_per_seed_draw(n):
-    seeds = [0, 7, -1, 2**64 - 1, derive_seed(3, 1), 123456789]
-    stack = _haar_unitaries(n, seeds)
-    assert stack.shape == (len(seeds), n, n)
-    for u, seed in zip(stack, seeds):
+    for seed in [0, 7, -1, 2**64 - 1, derive_seed(3, 1), 123456789]:
         # the single-seed draw: QR of a Ginibre matrix, R's phases divided out
         rng = np.random.default_rng(seed & ((1 << 64) - 1))
         x = rng.standard_normal((2, n, n))
         q, r = np.linalg.qr((x[0] + 1j * x[1]) / np.sqrt(2.0))
         diag = np.diag(r).copy()
         diag[diag == 0] = 1.0
-        assert np.array_equal(u, q * (diag / np.abs(diag)))
-        assert np.array_equal(u, haar_unitary(n, seed))
-
-
-SEED_WORD_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-RANDOM_SEEDS = np.random.default_rng(19).integers(0, 2**64, 2000, dtype=np.uint64).tolist()
-
-
-def test_seed_words_equal_numpys_seed_sequence():
-    seeds = SEED_WORD_EDGES + RANDOM_SEEDS
-    words = _seed_words(seeds)
-    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-    for s, row in zip(seeds, words):
-        assert np.array_equal(row, np.random.SeedSequence(s).generate_state(4, np.uint64)), s
-    assert _seed_words([]).shape == (0, 4)
-
-
-def test_generators_built_from_the_seed_words_are_default_rng():
-    # the construction of _haar_unitaries, row by row of one batch
-    seeds = (SEED_WORD_EDGES + RANDOM_SEEDS)[:300]
-    np.random.bit_generator.ISeedSequence.register(_Words)
-    for s, row in zip(seeds, _seed_words(seeds)):
-        draw = np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(9)
-        assert np.array_equal(draw, np.random.default_rng(s).standard_normal(9)), s
+        assert np.array_equal(haar_unitary(n, seed), q * (diag / np.abs(diag))), seed
+        # one call for 5 continues the stream as a call for 2 and one for 3 do
+        stack = _haar_unitaries(n, np.random.default_rng(seed & ((1 << 64) - 1)), 5)
+        rng = np.random.default_rng(seed & ((1 << 64) - 1))
+        parts = np.concatenate([_haar_unitaries(n, rng, 2), _haar_unitaries(n, rng, 3)])
+        assert stack.shape == (5, n, n)
+        assert np.array_equal(stack, parts), seed
+        assert np.array_equal(stack[0], haar_unitary(n, seed)), seed
 
 
 def test_haar_unitary_entry_statistics():

@@ -377,16 +377,22 @@ def test_non_finite_inputs_are_rejected(call):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]], FactorShape((2,))),
-        lambda: hermitian_eigen([[0, 1e308], [-1e308, 0]]),
+        # a - a^H overflows to inf here: a deviation the Hermitian gate refuses
+        (
+            lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]], FactorShape((2,))),
+            "deviates from Hermitian by inf",
+        ),
+        (lambda: hermitian_eigen([[0, 1e308], [-1e308, 0]]), "deviates from Hermitian by inf"),
+        # the squared norm overflows to inf here: a norm the state gates refuse
+        (lambda: PureState(FactorShape((2,)), [1e200, 1e200]), "norm inf is not finite"),
+        (lambda: PureState.normalized(FactorShape((2,)), [1e200, 1e200]), "of norm inf"),
     ],
-    ids=["DensityMatrix", "hermitian_eigen"],
+    ids=["DensityMatrix", "hermitian_eigen", "PureState", "normalized"],
 )
-def test_huge_finite_inputs_are_rejected(call):
-    # a - a^H overflows to inf here: a deviation the Hermitian gate refuses
-    with pytest.raises(InputError, match="deviates from Hermitian by inf"):
+def test_huge_finite_inputs_are_rejected(call, match):
+    with pytest.raises(InputError, match=match):
         call()
 
 
