@@ -42,7 +42,6 @@ from .inequality import (
     ADDITIVITY_SPLIT,
     FourFactorState,
     bn_gap,
-    bn_rhs,
     canonical_counterexample,
     deformed_counterexample,
     entangled_decomposition,
@@ -68,12 +67,16 @@ def _csv_cell(value) -> str:
         return str(value)
     if isinstance(value, list):
         # Lists of numbers join with ';', nested lists (index blocks) use
-        # ':' inside so no cell ever needs CSV quoting.
+        # ':' inside so no list cell needs CSV quoting.
         return ";".join(
             ":".join(str(x) for x in v) if isinstance(v, list) else _csv_cell(v)
             for v in value
         )
-    return str(value)
+    text = str(value)
+    # A string (a state file path) is quoted as RFC 4180 does, only if needed.
+    if set(text) & set(',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _scalar_csv(doc: dict) -> str:
@@ -209,16 +212,14 @@ def run_maximize(args: argparse.Namespace, unit: float) -> dict:
     else:
         s = canonical_counterexample(args.dim)
         origin = f"canonical dim={args.dim}"
-    # maximize_rhs first: it refuses an oversized search before any SVD.
     dec, report = maximize_rhs(s, restarts=args.restarts, sweeps=args.sweeps, seed=args.seed)
-    initial_rhs = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
     return {
         "state": origin,
         "log_base": args.log_base,
         "restarts": args.restarts,
         "sweeps": args.sweeps,
         "seed": args.seed,
-        "initial_rhs": initial_rhs * unit,
+        "initial_rhs": report.initial_rhs * unit,
         "best_rhs": report.rhs * unit,
         "lhs": report.lhs * unit,
         "gap": report.gap * unit,

@@ -19,7 +19,7 @@ near -2 log d, so the violation survives without any freedom of choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class GapReport:
     ``gap < 0`` certifies a violation for the decomposition used, and
     ``residual`` is its verification score, which :func:`bn_gap` gated on.
     ``decomposition_source`` names its origin (svd, product, entangled,
-    deformed, rotated or custom); ``state_descriptor`` describes the state.
+    deformed, rotated or custom).  Only :func:`maximize_rhs` sets the last
+    two, to its search record and to the rhs of its SVD start.
     """
 
     lhs: float
@@ -75,7 +76,8 @@ class GapReport:
     gap: float
     residual: float
     decomposition_source: str
-    state_descriptor: str
+    state_descriptor: str = ""
+    initial_rhs: float | None = None
 
 
 def _lhs(amps: np.ndarray, shape: FactorShape) -> np.ndarray:
@@ -131,9 +133,7 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
     return float(_rhs(dec.coefficients[None], sides)[0])
 
 
-def bn_gap(
-    s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom", descriptor: str = ""
-) -> GapReport:
+def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom") -> GapReport:
     """Evaluate both sides of the inequality and their gap.
 
     The decomposition must actually decompose ``s`` (verification score at
@@ -148,7 +148,7 @@ def bn_gap(
         )
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)
-    return GapReport(lhs, rhs, lhs - rhs, score, source, descriptor)
+    return GapReport(lhs, rhs, lhs - rhs, score, source)
 
 
 def _check_dim(d: int) -> int:
@@ -337,17 +337,17 @@ def maximize_rhs(
     retraction; the step length is Barzilai-Borwein, halved until the step
     ascends by the Armijo rule.  The ascent stops as "converged" when the
     gradient norm is at most ``GRAD_TOL`` or when no step ascends, and as
-    "budget" when all ``sweeps`` steps are used.  "converged" means a
-    stationary point, not a certified maximum: on the canonical family the
-    SVD start is a product basis where the gradient vanishes, so
-    ``restarts=0`` stops there at rhs 0.
+    "budget" when all ``sweeps`` steps are used.  Neither way to converge
+    certifies a maximum: on the canonical family the SVD start is a
+    product basis where the gradient vanishes, so ``restarts=0`` stops
+    there at rhs 0.
 
     Every accepted step ascends, so the result is never worse than the
     SVD start.  States with no degenerate block have no freedom and come
     back unchanged.  The report's source tag is "rotated" when any freedom
     was explored and "svd" otherwise; its descriptor records the steps
-    used and the stop reason.  A search whose estimated work exceeds
-    ``MAX_SEARCH_WORK`` raises :class:`InputError` before it starts.
+    used and the stop reason, and ``initial_rhs`` is the SVD start's rhs.
+    A search over ``MAX_SEARCH_WORK`` raises :class:`InputError` up front.
     """
     from .sampling import _MASK64, _haar_unitaries
 
@@ -368,7 +368,8 @@ def maximize_rhs(
     wide_blocks = [b for b in degenerate_blocks(lam) if len(b) > 1]
     if not wide_blocks:
         dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
-        return dec, bn_gap(s, dec, source="svd", descriptor="no degenerate freedom")
+        report = bn_gap(s, dec, source="svd")
+        return dec, replace(report, state_descriptor="no degenerate freedom", initial_rhs=report.rhs)
     mask = np.zeros((k, k), dtype=bool)
     for b in wide_blocks:
         mask[b[0]:b[-1] + 1, b[0]:b[-1] + 1] = True
@@ -391,6 +392,8 @@ def maximize_rhs(
         lams = np.broadcast_to(lam, (end - start, k))
         rotated = _rotated(sides, w)
         for i, t_value in enumerate(_rhs(lams, rotated).tolist(), start):
+            if i == 0:
+                initial = t_value
             if i == 0 or t_value > value + START_TIE_TOL:
                 value, best = t_value, rotated[i - start]
     sides, used, stop = _ascend(lam, best, mask, sweeps)
@@ -398,5 +401,5 @@ def maximize_rhs(
     right = sides[k:, :d3, :d4].reshape(k, -1).T
     best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
     descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
-    report = bn_gap(s, best_dec, source="rotated", descriptor=descriptor)
-    return best_dec, report
+    report = bn_gap(s, best_dec, source="rotated")
+    return best_dec, replace(report, state_descriptor=descriptor, initial_rhs=initial)

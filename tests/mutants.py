@@ -212,6 +212,16 @@ MUTANTS = (
         ("tests/test_schmidt.py::test_degenerate_blocks_examples",),
     ),
     Mutant(
+        "initial_rhs taken from each new winning start: wrong once a restart wins",
+        "inequality",
+        "if i == 0:\n                initial = t_value",
+        "if i == 0 or t_value > value + START_TIE_TOL:\n                initial = t_value",
+        (
+            "tests/test_inequality.py::test_maximize_reports_the_rhs_of_its_svd_start[3-2]",
+            "tests/test_inequality.py::test_maximize_reports_the_rhs_of_its_svd_start[3-3]",
+        ),
+    ),
+    Mutant(
         "maximize subparser wired to the check handler: wrong at maximize --dim 2",
         "cli",
         "common(p, run_maximize)",

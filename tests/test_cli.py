@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -129,6 +131,26 @@ def test_maximize_from_file_without_freedom(capsys, tmp_path):
     assert all(len(b) == 1 for b in doc["blocks"])
 
 
+@pytest.mark.parametrize("argv", [["--dim", "3"], ["--input", "STATE"]], ids=["dim", "input"])
+def test_maximize_decomposes_the_state_once(capsys, monkeypatch, tmp_path, argv):
+    # The SVD start's rhs comes back from maximize_rhs, so initial_rhs needs
+    # no second decomposition.  The input state has no degenerate block.
+    path = tmp_path / "deformed.json"
+    save_state(deformed_counterexample(2, 0.1)[0].state, path)
+    argv = ["maximize", *(str(path) if a == "STATE" else a for a in argv)]
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1, calls
+    assert doc["best_rhs"] >= doc["initial_rhs"]
+
+
 def test_check_and_maximize_accept_a_small_schmidt_coefficient(capsys, tmp_path):
     # sqrt(1 - lam)|0000> + sqrt(lam)|1111> is a valid unit vector; cutting
     # its second Schmidt term would fail the residual gate by sqrt(lam).
@@ -209,6 +231,18 @@ def test_json_and_csv_payloads_agree_exactly(capsys, argv, fields):
     for field in fields:
         # 17 significant digits round-trip doubles exactly
         assert float(rows[field]) == doc[field]
+
+
+@pytest.mark.parametrize("name", ["a,b.json", 'say "hi".json', "two\nlines.json", "cr\r.json"])
+@pytest.mark.parametrize("command,key", [("check", "input"), ("maximize", "state")])
+def test_csv_quotes_a_path_that_needs_it(capsys, tmp_path, name, command, key):
+    path = tmp_path / name
+    save_state(canonical_counterexample(2).state, path)
+    code, out = run(capsys, [command, "--input", str(path), "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 2 for row in rows), rows
+    assert dict(rows)[key] == str(path)
 
 
 def test_scan_json_and_csv_agree_exactly(capsys):

@@ -349,6 +349,7 @@ def test_maximize_is_monotone_even_with_tiny_budgets():
     s = canonical_counterexample(2)
     initial = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
     _, report = maximize_rhs(s, restarts=2, sweeps=1, seed=5)
+    assert report.initial_rhs == initial
     assert report.rhs >= initial - 1e-10
 
 
@@ -356,13 +357,35 @@ def test_maximize_zero_budget_returns_the_svd_value():
     s = canonical_counterexample(2)
     initial = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
     _, report = maximize_rhs(s, restarts=0, sweeps=0)
+    assert report.initial_rhs == initial
     assert abs(report.rhs - initial) < 1e-12
+
+
+def flat_state(d, seed):
+    """Amplitude matrix U/d across {1,2} | {3,4}, U Haar on U(d^2): a flat
+    Schmidt spectrum, one degenerate block, with random bases."""
+    return FourFactorState(PureState(FactorShape((d,) * 4), haar_unitary(d * d, seed) / d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_maximize_reports_the_rhs_of_its_svd_start(d, restarts):
+    # The canonical SVD start scores exactly 0, so only a state whose SVD
+    # basis is entangled tells the start's value from any other.
+    for seed in range(5):
+        s = flat_state(d, seed)
+        initial = bn_rhs(schmidt_decompose(s.state, ADDITIVITY_SPLIT))
+        assert initial > 0.1
+        _, report = maximize_rhs(s, restarts=restarts, sweeps=3, seed=seed)
+        assert report.initial_rhs == initial, seed
+        assert report.rhs > initial, seed
 
 
 def test_maximize_is_a_noop_without_degeneracy():
     state, _ = deformed_counterexample(2, 0.1)
     initial = bn_rhs(schmidt_decompose(state.state, ADDITIVITY_SPLIT))
     dec, report = maximize_rhs(state)
+    assert report.initial_rhs == initial
     assert abs(report.rhs - initial) < 1e-10
     assert report.decomposition_source == "svd"
     # the returned vectors match the designated ones up to phase
