@@ -86,23 +86,19 @@ def _scalar_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: A scan row's columns in tuple order, and the row as ``json.dumps(doc, indent=2)`` writes it.
+_SCAN_COLUMNS = ("sample_index", "derived_seed", "lhs", "rhs", "gap")
+_SCAN_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in _SCAN_COLUMNS) + "\n    }}"
+
+
 def _scan_csv(doc: dict) -> str:
     header = {**doc, "shape": "x".join(str(d) for d in doc["shape"])}
     skip = ("command", "samples", "errors")
     lines = [f"# {key}={_csv_cell(value)}" for key, value in header.items() if key not in skip]
-    columns = ("sample_index", "derived_seed", "lhs", "rhs", "gap")
-    lines.append(",".join(columns))
-    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in doc["samples"]]
+    lines.append(",".join(_SCAN_COLUMNS))
+    lines += [",".join(map(_csv_cell, row)) for row in doc["samples"]]
     lines += ["# error " + " ".join(f"{k}={v}" for k, v in row.items()) for row in doc["errors"]]
     return "\n".join(lines) + "\n"
-
-
-#: One row of a scan's "samples" list, laid out as ``json.dumps(doc,
-#: indent=2)`` lays it out.
-_SCAN_ROW = (
-    '    {{\n      "sample_index": {},\n      "derived_seed": {},\n'
-    '      "lhs": {},\n      "rhs": {},\n      "gap": {}\n    }}'
-)
 
 
 def _json_float(x: float) -> str:
@@ -111,17 +107,14 @@ def _json_float(x: float) -> str:
 
 
 def _scan_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` of a scan report, byte for byte, with
-    the sample rows written from a template instead of by the encoder."""
+    """``json.dumps(doc, indent=2)`` of a scan report with dict rows, byte for
+    byte, from rows that are tuples in ``_SCAN_COLUMNS`` order."""
     text = json.dumps({**doc, "samples": []}, indent=2)
     if not doc["samples"]:
         return text
     rows = ",\n".join(
-        _SCAN_ROW.format(
-            r["sample_index"], r["derived_seed"],
-            _json_float(r["lhs"]), _json_float(r["rhs"]), _json_float(r["gap"]),
-        )
-        for r in doc["samples"]
+        _SCAN_ROW.format(i, k, _json_float(a), _json_float(b), _json_float(g))
+        for i, k, a, b, g in doc["samples"]
     )
     head, tail = text.split('"samples": []', 1)
     return f'{head}"samples": [\n{rows}\n  ]{tail}'
@@ -176,10 +169,7 @@ def run_scan(args: argparse.Namespace, unit: float) -> dict:
         "max_gap": report.max_gap * unit,
         "mean_gap": report.mean_gap * unit,
         "violation_count": report.violation_count,
-        "samples": [
-            {"sample_index": i, "derived_seed": k, "lhs": a, "rhs": b, "gap": g}
-            for i, k, a, b, g in values
-        ],
+        "samples": list(values),
         "errors": [
             {"sample_index": i, "derived_seed": int(report.seeds[i]), "message": message}
             for i, message in report.errors.items()

@@ -238,7 +238,14 @@ def deformed_counterexample(
     Returns the state together with its (designated) Schmidt form.
     """
     d = _check_dim(d)
-    eps = float(eps)
+    try:
+        value = np.asarray(eps)
+    except ValueError:  # a ragged sequence
+        value = None
+    # Refuses strings, bytes, bools, complex values, None and arrays.
+    if value is None or value.ndim != 0 or value.dtype.kind not in "iuf":
+        raise InputError(f"eps must be a real number, got {eps!r}")
+    eps = float(value)
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie strictly between 0 and 1, got {eps!r}")
     big_d = d * d

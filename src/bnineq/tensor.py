@@ -35,9 +35,11 @@ from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_
 
 def _as_int(value, what: str, least: int | None = None) -> int:
     """``value`` as an int, at least ``least`` if given (2, ``np.int64(2)``
-    and 2.0 all give 2)."""
+    and 2.0 all give 2).  An array of ndim > 0 is refused before ``int()``,
+    which numpy 1.24 allows on ``np.array([2])`` and numpy >= 1.25 deprecates."""
     try:
-        n = None if isinstance(value, (bool, np.bool_)) else int(value)
+        bad = isinstance(value, (bool, np.bool_)) or getattr(value, "ndim", 0) != 0
+        n = None if bad else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:

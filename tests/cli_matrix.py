@@ -9,7 +9,9 @@ writes the state files that the commands read into ``DIR/states`` with
 ``python -m bnineq.cli``, importing this checkout's ``src``, from ``DIR``
 as the working directory, so every path a report prints is relative.  Run
 ``NAME`` leaves ``DIR/runs/NAME.out``, ``NAME.err`` and ``NAME.code`` (the
-exit code).  Two checkouts then compare with one ``diff -r``::
+exit code).  The script exits 1 if any run exits with a code other than
+0 or 2 or prints a ``Traceback``, after writing every run.  Two checkouts
+then compare with one ``diff -r``::
 
     python old/tests/cli_matrix.py /tmp/old
     python new/tests/cli_matrix.py /tmp/new
@@ -117,6 +119,7 @@ def main(argv: list[str]) -> int:
     runs.mkdir(exist_ok=True)
     # A fixed terminal width, so argparse wraps the help texts alike.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+    bad = []
     for name, args in RUNS.items():
         run = subprocess.run(
             [sys.executable, "-m", "bnineq.cli", *args],
@@ -125,7 +128,12 @@ def main(argv: list[str]) -> int:
         (runs / f"{name}.out").write_text(run.stdout, encoding="utf-8")
         (runs / f"{name}.err").write_text(run.stderr, encoding="utf-8")
         (runs / f"{name}.code").write_text(f"{run.returncode}\n", encoding="utf-8")
+        if run.returncode not in (0, 2) or "Traceback" in run.stdout + run.stderr:
+            bad.append(f"{name} (exit {run.returncode})")
     print(f"{len(RUNS)} runs written to {runs}")
+    if bad:
+        print("crashed: " + ", ".join(bad), file=sys.stderr)
+        return 1
     return 0
 
 

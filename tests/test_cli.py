@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from bnineq import (
     state_to_document,
     verify_decomposition,
 )
-from bnineq.cli import _scan_json, build_parser, main, run_scan
+from bnineq.cli import _SCAN_COLUMNS, _scan_json, build_parser, main, run_scan
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -468,6 +468,17 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
     assert "every sample in the scan failed" in captured.err
 
 
+def encoded(doc: dict) -> str:
+    """The encoder's text of a scan report, each tuple row turned into its dict."""
+    rows = [dict(zip(_SCAN_COLUMNS, row)) for row in doc["samples"]]
+    return json.dumps({**doc, "samples": rows}, indent=2)
+
+
+def test_scan_columns_are_the_fields_of_a_sample_record():
+    names = tuple(f.name for f in dataclass_fields(bnineq.SampleRecord))
+    assert _SCAN_COLUMNS == names[:5]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", 1.0 / LN2)], ids=["e", "2"])
 def test_scan_json_writer_matches_the_json_encoder(dim, log_base, unit):
@@ -475,7 +486,7 @@ def test_scan_json_writer_matches_the_json_encoder(dim, log_base, unit):
         ["scan", "--dim", str(dim), "--samples", "30", "--seed", "7", "--log-base", log_base]
     )
     doc = {"command": "scan", **run_scan(args, unit)}
-    assert _scan_json(doc) == json.dumps(doc, indent=2)
+    assert _scan_json(doc) == encoded(doc)
 
 
 def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
@@ -483,23 +494,19 @@ def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
     args = build_parser().parse_args(["scan", "--dim", "2", "--samples", "20", "--seed", "3"])
     doc = {"command": "scan", **run_scan(args, 1.0)}
     assert [row["sample_index"] for row in doc["errors"]] == [7]
-    assert _scan_json(doc) == json.dumps(doc, indent=2)
+    assert _scan_json(doc) == encoded(doc)
 
 
 def test_scan_json_writer_matches_the_json_encoder_on_non_finite_floats():
     nan, inf = float("nan"), float("inf")
-    rows = [
-        {"sample_index": 0, "derived_seed": 2**64 - 1, "lhs": nan, "rhs": inf, "gap": -inf},
-        {"sample_index": 1, "derived_seed": 0, "lhs": -0.0, "rhs": 1e-310, "gap": 1e300},
-        {"sample_index": 2, "derived_seed": 5, "lhs": 0.1, "rhs": inf, "gap": nan},
-    ]
+    rows = [(0, 2**64 - 1, nan, inf, -inf), (1, 0, -0.0, 1e-310, 1e300), (2, 5, 0.1, inf, nan)]
     doc = {
         "command": "scan", "n_samples": 4, "shape": [2, 2, 2, 2], "master_seed": -3,
         "min_gap": nan, "max_gap": inf, "mean_gap": -inf, "violation_count": 0,
         "samples": rows,
         "errors": [{"sample_index": 3, "derived_seed": 9, "message": '"samples": []\n'}],
     }
-    assert _scan_json(doc) == json.dumps(doc, indent=2)
+    assert _scan_json(doc) == encoded(doc)
     assert _scan_json({**doc, "samples": []}) == json.dumps({**doc, "samples": []}, indent=2)
 
 

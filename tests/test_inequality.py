@@ -322,7 +322,8 @@ def test_deformed_lhs_grows_with_eps():
 
 
 def test_deformed_rejects_bad_eps():
-    for eps in (0.0, 1.0, -0.3, 2.0):
+    for eps in (0.0, 1.0, -0.3, 2.0, np.nan, "0.1", "abc", b"0.1", True, None, [0.1], 0.1 + 0j,
+                np.complex128(0.1), np.array([0.1])):
         with pytest.raises(InputError):
             deformed_counterexample(2, eps)
 

@@ -138,6 +138,8 @@ def test_verify_rejects_shape_mismatch():
     other = schmidt_decompose(random_state((3, 2, 3, 2), 5), ADDITIVITY_SPLIT)
     with pytest.raises(InputError):
         verify_decomposition(psi, other)
+    with pytest.raises(InputError, match="does not match a 4-factor state"):
+        schmidt_decompose(psi, BipartiteSplit((1,), (2, 3)))
 
 
 # ------------------------------------------------------------------- blocks
@@ -160,6 +162,8 @@ def test_degenerate_blocks_chains_near_ties():
 def test_degenerate_blocks_rejects_unsorted():
     with pytest.raises(InputError):
         degenerate_blocks(np.array([0.2, 0.8]))
+    with pytest.raises(InputError, match="empty coefficient list"):
+        degenerate_blocks([])
 
 
 # ------------------------------------------------------------------- rotate
@@ -237,6 +241,12 @@ def test_decomposition_structural_validation():
         SchmidtDecomposition(
             dec.split, np.array([0.3, 0.3, 0.3, 0.3]), dec.left, dec.right, dec.shape
         )  # sum 1.2
+    with pytest.raises(InputError, match="at least one term"):
+        SchmidtDecomposition(dec.split, [], dec.left[:, :0], dec.right[:, :0], dec.shape)
+    with pytest.raises(InputError, match="negative Schmidt coefficient"):
+        SchmidtDecomposition(
+            dec.split, [1.5, -0.5], dec.left[:, :2], dec.right[:, :2], dec.shape
+        )
 
 
 def test_decomposition_rejects_non_finite_entries():

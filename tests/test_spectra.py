@@ -65,6 +65,8 @@ def test_hermitian_eigen_reconstructs(n):
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(InputError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InputError, match="must be square"):
+        hermitian_eigen(np.zeros((2, 3)))
 
 
 def test_spectrum_requires_descending_values():

@@ -43,7 +43,7 @@ def test_shape_basic_properties():
     assert shape.total_dimension == 24
 
 
-@pytest.mark.parametrize("dims", [(), (0,), (2, -1), (2, 0, 3)])
+@pytest.mark.parametrize("dims", [(), (0,), (2, -1), (2, 0, 3), 4])
 def test_shape_rejects_bad_dims(dims):
     with pytest.raises(InputError):
         FactorShape(dims)
@@ -68,7 +68,7 @@ INTEGER_GATES = {
 }
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "2", True, np.True_])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "2", True, np.True_, np.array([2])])
 @pytest.mark.parametrize("gate", INTEGER_GATES)
 def test_integer_gates_refuse_non_integral_values(gate, value):
     with pytest.raises(InputError, match="must be (an integer|integers)"):
