@@ -162,15 +162,13 @@ def _check_dim(d: int) -> int:
 def canonical_counterexample(d: int) -> FourFactorState:
     """The maximally entangled four-factor state that breaks the inequality.
 
-    Amplitude 1/d on every basis label of the form (i, k, i, k), zero
-    elsewhere: factor 1 is perfectly correlated with factor 3, and factor
-    2 with factor 4, so Alice's marginal on {1, 3} is pure and the
-    left-hand side vanishes.
+    The identity across {1,2} | {3,4} over d: amplitude 1/d on every basis
+    label (i, k, i, k), zero elsewhere.  Factor 1 is perfectly correlated
+    with factor 3, and factor 2 with factor 4, so Alice's marginal on
+    {1, 3} is pure and the left-hand side vanishes.
     """
     d = _check_dim(d)
-    eye = np.eye(d)
-    amps = np.einsum("ij,kl->ikjl", eye, eye) / d
-    return FourFactorState(PureState(FactorShape((d, d, d, d)), amps))
+    return FourFactorState(PureState(FactorShape((d, d, d, d)), np.eye(d * d) / d))
 
 
 def bell_basis(d: int) -> np.ndarray:
@@ -228,8 +226,8 @@ def deformed_counterexample(
     """Deform the canonical state so its Schmidt decomposition is unique.
 
     The flat coefficients 1/D (D = d^2) are tilted to
-    ``lambda_a = (1 + eps * t_a) / D`` with ``t_a = (2a - D + 1) / D``:
-    an exactly normalized, strictly decreasing spectrum once sorted.  The
+    ``lambda_a = (1 + eps * t_a) / D`` with ``t_a = (D - 1 - 2a) / D``:
+    an exactly normalized spectrum, already strictly decreasing.  The
     state ``sum_a sqrt(lambda_a) Phi_a (x) conj(Phi_a)`` over the Bell
     basis then has a unique Schmidt form whose vectors are all maximally
     entangled, pinning the right-hand side at 2 log d while the left-hand
@@ -249,9 +247,8 @@ def deformed_counterexample(
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie strictly between 0 and 1, got {eps!r}")
     big_d = d * d
-    tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d
+    tilt = (big_d - 1.0 - 2.0 * np.arange(big_d)) / big_d
     lam = (1.0 + eps * tilt) / big_d
-    lam = lam[::-1].copy()  # descending
     dec = _conjugate_form(bell_basis(d), lam)
     amps = (dec.left * np.sqrt(lam)) @ dec.right.T
     state = FourFactorState(PureState.normalized(dec.shape, amps))
@@ -283,16 +280,15 @@ def _ascend(
     lam: np.ndarray, sides: np.ndarray, mask: np.ndarray, sweeps: int
 ) -> tuple[np.ndarray, int, str]:
     """The Riemannian gradient ascent of :func:`maximize_rhs`, which rotates
-    the :func:`_sides` stack ``sides``: the final stack, the steps used and
-    the stop reason ("converged" or "budget")."""
+    the :func:`_sides` stack ``sides``: the final stack, the accepted steps
+    and the stop reason, "converged" (gradient norm at most ``GRAD_TOL``),
+    "stalled" (no step length ascends) or "budget" (all ``sweeps`` used)."""
     value, grad = _rhs_ascent(lam, sides, mask)
     eye = np.eye(lam.size)
-    step, used, stop = 1.0, 0, "converged"
+    step, used = 1.0, 0
     while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
         if used == sweeps:
-            stop = "budget"
-            break
-        used += 1
+            return sides, used, "budget"
         # Cayley retraction with Armijo backtracking; a step that moves W
         # by less than roundoff means no ascent is possible from here.
         while step * math.sqrt(norm2) > 1e-15:
@@ -303,7 +299,8 @@ def _ascend(
                 break
             step *= 0.5
         else:
-            break
+            return sides, used, "stalled"
+        used += 1
         # Barzilai-Borwein length for the next step, alternating the long and
         # the short formula; the curvature is -<s, y> as the rhs is maximised.
         s_vec, y_vec = step * grad, t_grad - grad
@@ -316,7 +313,7 @@ def _ascend(
             step = curvature / float(np.vdot(y_vec, y_vec).real)
         step = min(step, 1e20)  # keeps the backtracking loop finite
         sides, value, grad = trial, t_value, t_grad
-    return sides, used, stop
+    return sides, used, "converged"
 
 
 def maximize_rhs(
@@ -342,18 +339,18 @@ def maximize_rhs(
     winner's stack, the only start whose gradient is computed.  Each of
     at most ``sweeps`` steps moves along the gradient by a Cayley
     retraction; the step length is Barzilai-Borwein, halved until the step
-    ascends by the Armijo rule.  The ascent stops as "converged" when the
-    gradient norm is at most ``GRAD_TOL`` or when no step ascends, and as
-    "budget" when all ``sweeps`` steps are used.  Neither way to converge
-    certifies a maximum: on the canonical family the SVD start is a
-    product basis where the gradient vanishes, so ``restarts=0`` stops
-    there at rhs 0.
+    ascends by the Armijo rule.  It stops as "converged" when the gradient
+    norm is at most ``GRAD_TOL``.  It stops as "stalled" when no step length
+    ascends.  It stops as "budget" when all ``sweeps`` steps are used.  A
+    stop as "converged" or "stalled" certifies no maximum: on the canonical
+    family the SVD start is a product basis where the gradient vanishes, so
+    ``restarts=0`` stops there at rhs 0.
 
     Every accepted step ascends, so the result is never worse than the
     SVD start.  States with no degenerate block have no freedom and come
     back unchanged.  The report's source tag is "rotated" when any freedom
-    was explored and "svd" otherwise; its descriptor records the steps
-    used and the stop reason, and ``initial_rhs`` is the SVD start's rhs.
+    was explored and "svd" otherwise; its descriptor records the accepted
+    steps and the stop reason, and ``initial_rhs`` is the SVD start's rhs.
     A search over ``MAX_SEARCH_WORK`` raises :class:`InputError` up front.
     """
     from .sampling import _MASK64, _haar_unitaries
@@ -383,20 +380,16 @@ def maximize_rhs(
 
     # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
     # Every start is scored by value only; a later start wins only by more
-    # than START_TIE_TOL, so starts equal up to roundoff go to the lowest
-    # index.  A start holds W and its rotated side stack.
+    # than START_TIE_TOL, so starts equal up to roundoff go to the lowest index.
     sides = _sides(left, right, dims)
     rngs = [np.random.default_rng([seed & _MASK64, bi]) for bi in range(len(wide_blocks))]
     chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
     for start in range(0, restarts + 1, chunk):
-        end = min(start + chunk, restarts + 1)
-        first = max(start, 1)
-        w = np.empty((end - start, k, k), dtype=np.complex128)
-        w[:] = np.eye(k)
+        w = np.tile(np.eye(k, dtype=np.complex128), (min(chunk, restarts + 1 - start), 1, 1))
+        drawn = w[1:] if start == 0 else w
         for rng, b in zip(rngs, wide_blocks):
-            u = _haar_unitaries(len(b), rng, end - first)
-            w[first - start:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = u
-        lams = np.broadcast_to(lam, (end - start, k))
+            drawn[:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), rng, len(drawn))
+        lams = np.broadcast_to(lam, (len(w), k))
         rotated = _rotated(sides, w)
         for i, t_value in enumerate(_rhs(lams, rotated).tolist(), start):
             if i == 0:

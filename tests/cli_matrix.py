@@ -18,8 +18,8 @@ then compare with one ``diff -r``::
     diff -r /tmp/old /tmp/new
 
 The list covers every subcommand in both formats and both log bases,
-``maximize`` with and without degenerate freedom, the exit-2 refusals, and
-a state path that a CSV cell must quote.  The file has no ``test_``
+``maximize`` with and without degenerate freedom and with an ascent that
+stalls, the exit-2 refusals, and a state path that a CSV cell must quote.  The file has no ``test_``
 prefix, so pytest does not collect it.
 """
 
@@ -66,6 +66,7 @@ REPORTS = {
     "maximize-d2": ["maximize", "--dim", "2"],
     "maximize-haar": ["maximize", "--input", "states/haar.json"],
     "maximize-d3": ["maximize", "--dim", "3"],
+    "maximize-d3-stalled": ["maximize", "--dim", "3", "--seed", "4"],
     "maximize-flat": ["maximize", "--input", "states/flat.json"],
     "maximize-deformed": ["maximize", "--input", "states/deformed.json"],
     "check-comma": ["check", "--input", "states/a,b.json"],

@@ -222,6 +222,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a stalled ascent reported as converged: wrong at d = 3, seed 4",
+        "inequality",
+        'return sides, used, "stalled"',
+        'return sides, used, "converged"',
+        ("tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",),
+    ),
+    Mutant(
+        "the failed attempt of a stall counted as a step: wrong at d = 3, seed 4",
+        "inequality",
+        'return sides, used, "stalled"',
+        'return sides, used + 1, "stalled"',
+        ("tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",),
+    ),
+    Mutant(
+        "the SVD start drawn like a restart: wrong on a state whose SVD basis is entangled",
+        "inequality",
+        "drawn = w[1:] if start == 0 else w",
+        "drawn = w",
+        (
+            "tests/test_inequality.py::test_maximize_reports_the_rhs_of_its_svd_start[0-2]",
+            "tests/test_inequality.py::test_maximize_reports_the_rhs_of_its_svd_start[3-3]",
+            "tests/test_inequality.py::test_maximize_zero_budget_returns_the_svd_value",
+        ),
+    ),
+    Mutant(
+        "the deformed tilt left ascending: wrong at every d",
+        "inequality",
+        "tilt = (big_d - 1.0 - 2.0 * np.arange(big_d)) / big_d",
+        "tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d",
+        (
+            "tests/test_inequality.py::test_deformed_coefficients_are_the_designated_decimals",
+            "tests/test_inequality.py::test_array_constructions_equal_the_loops_bit_for_bit[3]",
+        ),
+    ),
+    Mutant(
         "maximize subparser wired to the check handler: wrong at maximize --dim 2",
         "cli",
         "common(p, run_maximize)",

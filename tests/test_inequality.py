@@ -35,7 +35,7 @@ from bnineq import inequality
 from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
 from bnineq.sampling import _haar_unitaries
 from bnineq.spectra import entanglement_entropy_grad
-from bnineq.tolerances import STACK_ELEMENTS, START_TIE_TOL
+from bnineq.tolerances import GRAD_TOL, STACK_ELEMENTS, START_TIE_TOL
 from helpers import apply_freedom, basis_state, kron_state
 
 TWO_LN_TWO = 1.3862943611198906
@@ -153,10 +153,21 @@ def loop_canonical_amplitudes(d):
     return amps
 
 
+def reversed_deformed_coefficients(d, eps):
+    """The deformed coefficients with the tilt built ascending and then
+    reversed (test-local reference)."""
+    big_d = d * d
+    tilt = (2.0 * np.arange(big_d) - big_d + 1.0) / big_d
+    return ((1.0 + eps * tilt) / big_d)[::-1]
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 def test_array_constructions_equal_the_loops_bit_for_bit(d):
     assert np.array_equal(bell_basis(d), loop_bell_basis(d))
     assert np.array_equal(canonical_counterexample(d).state.amplitudes, loop_canonical_amplitudes(d))
+    for eps in (1e-9, 0.07, 0.3, 0.999):
+        want = reversed_deformed_coefficients(d, eps)
+        assert np.array_equal(deformed_counterexample(d, eps)[1].coefficients, want), eps
 
 
 # ------------------------------------------------------------ lhs, rhs, gap
@@ -323,7 +334,7 @@ def test_deformed_lhs_grows_with_eps():
 
 def test_deformed_rejects_bad_eps():
     for eps in (0.0, 1.0, -0.3, 2.0, np.nan, "0.1", "abc", b"0.1", True, None, [0.1], 0.1 + 0j,
-                np.complex128(0.1), np.array([0.1])):
+                np.complex128(0.1), np.array([0.1]), [0.1, [0.2]]):
         with pytest.raises(InputError):
             deformed_counterexample(2, eps)
 
@@ -418,6 +429,22 @@ def test_maximize_reports_its_stop_reason():
     assert report.state_descriptor.endswith("/2000 stop=converged")
     _, report = maximize_rhs(s, sweeps=1)
     assert report.state_descriptor == "restarts=20 sweeps_used=1/1 stop=budget"
+
+
+def test_maximize_reports_a_stall_apart_from_convergence():
+    # Seed 4 at d = 3 reaches 2 ln 3 with a gradient norm still above
+    # GRAD_TOL, where no step length ascends: the ascent stalls, and the
+    # failed attempt is not counted as a step.
+    s = canonical_counterexample(3)
+    dec, report = maximize_rhs(s, seed=4)
+    assert report.state_descriptor == "restarts=20 sweeps_used=23/2000 stop=stalled"
+    assert abs(report.rhs - 2 * np.log(3)) <= 1e-12
+    mask = np.ones((dec.rank, dec.rank), dtype=bool)  # one flat block
+    sides = _sides(dec.left, dec.right, s.state.shape.dims)
+    _, grad = _rhs_ascent(dec.coefficients, sides, mask)
+    assert np.linalg.norm(grad) > GRAD_TOL
+    _, report = maximize_rhs(s, seed=0)
+    assert report.state_descriptor.endswith("stop=converged")
 
 
 def bell_pair_state(dims):
