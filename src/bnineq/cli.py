@@ -14,8 +14,8 @@ Subcommands map onto the library's main entry points:
 
 Each subparser carries its handler as ``args.run``; a handler reads its
 own flags and returns its report, and ``main`` puts the ``"command"`` key
-first.  The parser is built per call, so a handler patched on this module
-is the one that runs.
+first.  The parser is built once per process, and each ``args.run`` looks
+its handler up on this module when it runs, so a patched one is obeyed.
 
 The library computes every entropy in nats.  This module alone knows about
 bits: ``--log-base 2`` multiplies each entropy field by 1/ln 2 where the
@@ -31,6 +31,7 @@ round-trips, so both parse back to the same doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,8 +64,6 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, list):
         # Lists of numbers join with ';', nested lists (index blocks) use
         # ':' inside so no list cell needs CSV quoting.
@@ -229,6 +228,7 @@ def _emit(text: str, output: str | None) -> None:
         raise InputError(f"cannot write {output}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnineq",
@@ -245,22 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="evaluate the canonical violating family")
     p.add_argument("--dim", type=int, required=True, help="local dimension d >= 2")
-    common(p, run_counterexample)
+    common(p, lambda *a: run_counterexample(*a))
 
     p = sub.add_parser("deform", help="evaluate the deformed family (unique Schmidt form)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eps", type=float, required=True, help="deformation strength in (0, 1)")
-    common(p, run_deform)
+    common(p, lambda *a: run_deform(*a))
 
     p = sub.add_parser("scan", help="seeded scan over Haar-random states")
     p.add_argument("--dim", type=int, required=True, help="scan states of shape (d, d, d, d)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p, run_scan)
+    common(p, lambda *a: run_scan(*a))
 
     p = sub.add_parser("check", help="evaluate a state loaded from a JSON file")
     p.add_argument("--input", required=True, help="state file path")
-    common(p, run_check)
+    common(p, lambda *a: run_check(*a))
 
     p = sub.add_parser("maximize", help="search the Schmidt freedom for the largest rhs")
     p.add_argument("--input", default=None, help="state file path")
@@ -268,14 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--sweeps", type=int, default=2000, help="gradient ascent steps")
     p.add_argument("--seed", type=int, default=0)
-    common(p, run_maximize)
+    common(p, lambda *a: run_maximize(*a))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     unit = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0)
     try:
         doc = {"command": args.command, **args.run(args, unit)}

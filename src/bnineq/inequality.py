@@ -27,6 +27,7 @@ from .exceptions import InputError
 from .schmidt import (
     BipartiteSplit,
     _arranged,
+    _haar_unitaries,
     _schmidt_stack,
     SchmidtDecomposition,
     degenerate_blocks,
@@ -44,6 +45,8 @@ from .tolerances import (
 
 #: The bipartition across which Schmidt decompositions are taken.
 ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
+#: The parties' split, Alice {1, 3} | Bob {2, 4}, across which ``bn_lhs`` is taken.
+_PARTY_SPLIT = BipartiteSplit((1, 3), (2, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +85,7 @@ class GapReport:
 
 def _lhs(amps: np.ndarray, shape: FactorShape) -> np.ndarray:
     """:func:`bn_lhs` of each state in a stack (n, D) of amplitude vectors."""
-    return entanglement_entropy(_arranged(amps, shape, BipartiteSplit((1, 3), (2, 4))))
+    return entanglement_entropy(_arranged(amps, shape, _PARTY_SPLIT))
 
 
 def _sides(left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
@@ -353,8 +356,6 @@ def maximize_rhs(
     steps and the stop reason, and ``initial_rhs`` is the SVD start's rhs.
     A search over ``MAX_SEARCH_WORK`` raises :class:`InputError` up front.
     """
-    from .sampling import _MASK64, _haar_unitaries
-
     restarts, sweeps = _as_int(restarts, "restarts", 0), _as_int(sweeps, "sweeps", 0)
     seed = _as_int(seed, "seed")
     dims = s.state.shape.dims
@@ -382,7 +383,7 @@ def maximize_rhs(
     # Every start is scored by value only; a later start wins only by more
     # than START_TIE_TOL, so starts equal up to roundoff go to the lowest index.
     sides = _sides(left, right, dims)
-    rngs = [np.random.default_rng([seed & _MASK64, bi]) for bi in range(len(wide_blocks))]
+    rngs = [np.random.default_rng([seed % 2**64, bi]) for bi in range(len(wide_blocks))]
     chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
     for start in range(0, restarts + 1, chunk):
         w = np.tile(np.eye(k, dtype=np.complex128), (min(chunk, restarts + 1 - start), 1, 1))

@@ -7,7 +7,8 @@ Reproducibility contract: every random draw comes from a
 with ``derive_seed(master_seed, i)``, the SplitMix64 mixer below.  In
 ``maximize_rhs``, wide block b draws its restarts in order from one
 generator, ``default_rng([seed mod 2^64, b])``: restart r takes that
-stream's r-th Ginibre pair, however the starts are chunked.  The same
+stream's r-th Ginibre pair, however the starts are chunked.  Unitaries of
+both kinds come from one draw, ``schmidt._haar_unitaries``.  The same
 inputs produce the same outputs on every run.
 """
 
@@ -20,7 +21,8 @@ import numpy as np
 from .exceptions import InputError, NumericalError
 from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, bn_lhs, bn_rhs
 from .schmidt import (
-    _arranged, _schmidt_stack, _verify_stack, schmidt_decompose, verify_decomposition,
+    _arranged, _haar_unitaries, _schmidt_stack, _verify_stack, schmidt_decompose,
+    verify_decomposition,
 )
 from .tensor import FactorShape, PureState, _as_int
 from .tolerances import (
@@ -63,22 +65,6 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     Haar.  ``n = 1`` gives a single uniformly random phase.
     """
     return _haar_unitaries(n, np.random.default_rng(_as_int(seed, "seed") & _MASK64), 1)[0]
-
-
-def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` Haar unitaries (count, n, n) of the generator ``rng``.
-
-    One Ginibre draw (count, 2, n, n), then one QR and one phase fix on the
-    stack.  Consecutive calls continue one stream: a call for 5 equals a
-    call for 2 followed by a call for 3.
-    """
-    n = _as_int(n, "unitary dimension", 1)
-    x = rng.standard_normal((count, 2, n, n))
-    z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ the two sides such that ``psi = sum_a sqrt(lambda_a) l_a (x) r_a`` (after
 restoring the original factor order).  When several coefficients coincide
 the decomposition is not unique: the vectors of a degenerate block may be
 mixed by any unitary, with the conjugate unitary applied on the other side.
+``_haar_unitaries`` draws such unitaries for ``maximize_rhs``'s restarts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import spectra
 from .exceptions import InputError
-from .tensor import FactorShape, PureState, _descending, _positions
+from .tensor import FactorShape, PureState, _as_int, _descending, _positions
 from .tolerances import BLOCK_TOL, MATRIX_ATOL
 
 
@@ -201,3 +202,16 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     edges = [0, *(np.flatnonzero(lam[:-1] - lam[1:] > threshold) + 1).tolist(), lam.size]
     return tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
 
+
+def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` Haar unitaries (count, n, n) of the generator ``rng``,
+    by one Ginibre draw (count, 2, n, n), one QR and one phase fix on the
+    stack.  Consecutive calls continue one stream: a call for 5 equals a call
+    for 2 followed by a call for 3."""
+    n = _as_int(n, "unitary dimension", 1)
+    x = rng.standard_normal((count, 2, n, n))
+    z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))[:, None, :]

@@ -183,20 +183,20 @@ MUTANTS = (
     Mutant(
         "every wide block drawn from generator 0: wrong with two blocks",
         "inequality",
-        "[seed & _MASK64, bi]",
-        "[seed & _MASK64, 0]",
+        "[seed % 2**64, bi]",
+        "[seed % 2**64, 0]",
         ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
     ),
     Mutant(
         "each chunk of starts restarts the block streams: wrong past the first chunk",
         "inequality",
         "zip(rngs, wide_blocks)",
-        "zip([np.random.default_rng([seed & _MASK64, bi]) for bi in range(len(rngs))], wide_blocks)",
+        "zip([np.random.default_rng([seed % 2**64, bi]) for bi in range(len(rngs))], wide_blocks)",
         ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
     ),
     Mutant(
         "Ginibre real and imaginary parts swapped: wrong at every seed",
-        "sampling",
+        "schmidt",
         "(x[:, 0] + 1j * x[:, 1])",
         "(x[:, 1] + 1j * x[:, 0])",
         (
@@ -259,9 +259,16 @@ MUTANTS = (
     Mutant(
         "maximize subparser wired to the check handler: wrong at maximize --dim 2",
         "cli",
-        "common(p, run_maximize)",
-        "common(p, run_check)",
+        "common(p, lambda *a: run_maximize(*a))",
+        "common(p, lambda *a: run_check(*a))",
         ("tests/test_cli.py::test_maximize_from_dim",),
+    ),
+    Mutant(
+        "scan handler bound when the parser is built: wrong once a patch is restored",
+        "cli",
+        "lambda *a: run_scan(*a)",
+        "run_scan",
+        ("tests/test_cli.py::test_a_parser_built_under_a_patched_handler_does_not_keep_it",),
     ),
 )
 

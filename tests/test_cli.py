@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -511,8 +512,9 @@ def test_scan_json_writer_matches_the_json_encoder_on_non_finite_floats():
 
 
 def test_main_looks_up_the_handler_at_call_time(capsys, monkeypatch):
-    # The benchmark tracer patches cli.run_scan between calls, so a parser
-    # built once at import would keep running the unpatched handler.
+    # The benchmark tracer patches cli.run_scan between calls, while the
+    # parser is built once per process, so each subcommand's run looks its
+    # handler up on the module when it runs.
     calls = []
 
     def counted(args, unit):
@@ -523,6 +525,42 @@ def test_main_looks_up_the_handler_at_call_time(capsys, monkeypatch):
     assert main(["scan", "--dim", "2", "--samples", "2"]) == 0
     assert calls == [2]
     assert json.loads(capsys.readouterr().out)["n_samples"] == 2
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    argv = ["counterexample", "--dim", "2"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_a_parser_built_under_a_patched_handler_does_not_keep_it(capsys, monkeypatch):
+    # A parser that bound its handlers when it was built would keep running
+    # the patch after it is restored.
+    build_parser.cache_clear()
+    calls = []
+
+    def counted(args, unit):
+        calls.append(args.samples)
+        return run_scan(args, unit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bnineq.cli, "run_scan", counted)
+        assert main(["scan", "--dim", "2", "--samples", "2"]) == 0
+    assert calls == [2]
+    capsys.readouterr()
+    assert main(["scan", "--dim", "2", "--samples", "3"]) == 0
+    assert calls == [2]
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 3
 
 
 def test_scan_refuses_an_oversized_run_with_exit_2(capsys):

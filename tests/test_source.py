@@ -37,6 +37,19 @@ def test_every_module_level_import_is_used(path):
     assert sorted(set(bound) - loaded_names(tree)) == []
 
 
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_at_module_level(path):
+    # A module binds its collaborators once; an import inside a function
+    # rebinds them on every call and can hide an import cycle.
+    tree = parse(path)
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
+
+
 def test_every_exported_name_exists():
     assert len(set(bnineq.__all__)) == len(bnineq.__all__)
     assert [name for name in bnineq.__all__ if not hasattr(bnineq, name)] == []
