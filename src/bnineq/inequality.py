@@ -230,11 +230,18 @@ def deformed_counterexample(
 
     The flat coefficients 1/D (D = d^2) are tilted to
     ``lambda_a = (1 + eps * t_a) / D`` with ``t_a = (D - 1 - 2a) / D``:
-    an exactly normalized spectrum, already strictly decreasing.  The
-    state ``sum_a sqrt(lambda_a) Phi_a (x) conj(Phi_a)`` over the Bell
-    basis then has a unique Schmidt form whose vectors are all maximally
-    entangled, pinning the right-hand side at 2 log d while the left-hand
-    side stays near zero for small eps.
+    an exactly normalized, non-increasing spectrum.  It is strictly
+    decreasing only while the tilt survives rounding: eps = 1e-300 gives
+    four equal floats at d = 2.  The state
+    ``sum_a sqrt(lambda_a) Phi_a (x) conj(Phi_a)`` over the Bell basis
+    has a Schmidt form whose vectors are all maximally entangled, pinning
+    the right-hand side at 2 log d while the left-hand side stays near
+    zero for small eps.  That form is unique in the sense of
+    :func:`degenerate_blocks`, every block a single coefficient, once the
+    square roots of neighbouring coefficients differ by more than its
+    derived step: for eps above about 6.7e-10 at d = 2 and 5.6e-10 at
+    d = 3.  Below that, the tilt is smaller than the residual gate can
+    resolve, and the coefficients form one block.
 
     Returns the state together with its (designated) Schmidt form.
     """
@@ -350,10 +357,13 @@ def maximize_rhs(
     ``restarts=0`` stops there at rhs 0.
 
     Every accepted step ascends, so the result is never worse than the
-    SVD start.  States with no degenerate block have no freedom and come
-    back unchanged.  The report's source tag is "rotated" when any freedom
-    was explored and "svd" otherwise; its descriptor records the accepted
-    steps and the stop reason, and ``initial_rhs`` is the SVD start's rhs.
+    SVD start.  The blocks are those of :func:`degenerate_blocks`, so every
+    W moves the decomposition by at most half of ``RESIDUAL_TOL`` and the
+    result passes :func:`bn_gap`.  States with no degenerate block have no
+    freedom and come back unchanged.  The report's source tag is
+    "rotated" when any freedom was explored and "svd" otherwise; its
+    descriptor records the accepted steps and the stop reason, and
+    ``initial_rhs`` is the SVD start's rhs.
     A search over ``MAX_SEARCH_WORK`` raises :class:`InputError` up front.
     """
     restarts, sweeps = _as_int(restarts, "restarts", 0), _as_int(sweeps, "sweeps", 0)

@@ -20,7 +20,7 @@ import numpy as np
 from . import spectra
 from .exceptions import InputError
 from .tensor import FactorShape, PureState, _as_int, _descending, _positions
-from .tolerances import BLOCK_TOL, MATRIX_ATOL
+from .tolerances import MATRIX_ATOL, RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,22 @@ def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
 
 
 def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
-    """Group indices of descending coefficients into degenerate blocks.
+    """Group indices of descending, nonnegative coefficients into degenerate
+    blocks.
 
-    Consecutive coefficients whose gap is at most
-    ``BLOCK_TOL * max(1, lambda_max)`` land in the same block.  Example:
-    (0.5, 0.5, 0.3, 0.2) gives blocks (0, 1), (2,), (3,).
+    Consecutive coefficients of a list of k whose square roots differ by at
+    most ``g = RESIDUAL_TOL / (2 sqrt(k) max(k - 1, 1))`` land in the same
+    block, so a block may chain values further apart than g.  Any unitary
+    that mixes vectors only inside the blocks then moves a decomposition by
+    at most ``RESIDUAL_TOL / 2`` (proof in :mod:`bnineq.tolerances`): a
+    decomposition built by that freedom passes :func:`bn_gap`'s gate.
+    Example: (0.5, 0.5, 0.3, 0.2) gives blocks (0, 1), (2,), (3,).
     """
     lam = _descending(coefficients, "coefficients")
-    if lam.size == 0:
-        raise InputError("empty coefficient list")
-    threshold = BLOCK_TOL * max(1.0, float(lam[0]))
-    edges = [0, *(np.flatnonzero(lam[:-1] - lam[1:] > threshold) + 1).tolist(), lam.size]
+    if lam.size == 0 or lam[-1] < 0.0:
+        raise InputError(f"negative coefficient {lam[-1]}" if lam.size else "empty coefficient list")
+    gap = RESIDUAL_TOL / (2.0 * math.sqrt(lam.size) * max(lam.size - 1, 1))
+    edges = [0, *(np.flatnonzero(np.diff(np.sqrt(lam)) < -gap) + 1).tolist(), lam.size]
     return tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
 
 

@@ -5,13 +5,37 @@ decomposition counts as valid, decides whether the inequality is violated,
 so these numbers are part of the physics claim.  They live here, one line
 of reason each, and no function takes a tolerance keyword.
 
-One relation must hold between the entries:
-``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL`` (eps the float64 machine
-epsilon).  ``schmidt_decompose`` keeps a term only if its singular value
-exceeds ``s_max * max(D_L, D_R) * eps``, the numerical rank of
-``numpy.linalg.matrix_rank``.  The dropped tail then has norm at most
-``D_L * D_R * eps``, so an SVD decomposition of any accepted state passes
-the one residual gate.
+Two relations tie the entries to each other (eps is the float64 machine
+epsilon).
+
+1. ``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL``.  ``schmidt_decompose``
+   keeps a term only if its singular value exceeds
+   ``s_max * max(D_L, D_R) * eps``, the numerical rank of
+   ``numpy.linalg.matrix_rank``.  The dropped tail then has norm at most
+   ``D_L * D_R * eps``, so an SVD decomposition of any accepted state
+   passes the one residual gate.
+
+2. Degeneracy has no entry of its own: it is derived from
+   ``RESIDUAL_TOL``.  ``degenerate_blocks`` chains consecutive
+   coefficients of a list of k whose square roots s_a = sqrt(lambda_a)
+   differ by at most ``g = RESIDUAL_TOL / (2 sqrt(k) max(k - 1, 1))``.
+   Mixing the vectors inside those blocks then moves a decomposition by at
+   most ``RESIDUAL_TOL / 2``, so every decomposition that ``maximize_rhs``
+   builds passes ``bn_gap``'s gate, with the other half left for roundoff.
+
+   Proof.  The freedom maps the vectors (L, R) to (L W, R conj(W)) with W
+   unitary and block-diagonal over the blocks, so the reconstruction
+   L S R^T, S = diag(s), becomes L W S W^H R^T.  L and R have orthonormal
+   columns, so it moves by ``||W S W^H - S||_F``.  On block b, of n_b
+   coefficients, write S_b = c_b I + E_b with c_b the midpoint of the
+   block's s values.  W_b commutes with c_b I, so
+   ``W_b S_b W_b^H - S_b = W_b E_b W_b^H - E_b``, whose norm is at most
+   ``2 ||E_b||_F``.  A chain of n_b values with steps of at most g spans
+   at most (n_b - 1) g, so every entry of E_b is at most (n_b - 1) g / 2
+   in size and ``||E_b||_F <= sqrt(n_b) (n_b - 1) g / 2``.  Summing the
+   squares over the blocks, with n_b <= k and sum n_b = k,
+   ``||W S W^H - S||_F^2 <= sum_b n_b (n_b - 1)^2 g^2 <= k (k - 1)^2 g^2``,
+   that is ``||W S W^H - S||_F <= sqrt(k) (k - 1) g = RESIDUAL_TOL / 2``.
 """
 
 #: Hard cap on the total dimension of any state handled by the package.
@@ -32,13 +56,10 @@ STATE_FILE_NORM_ATOL = 1e-9
 #: entropy functions clip to zero; anything more negative is rejected by both.
 MATRIX_ATOL = 1e-10
 
-#: Relative gap under which neighbouring Schmidt coefficients are treated
-#: as degenerate, and so free to be mixed by a unitary.
-BLOCK_TOL = 1e-8
-
 #: A decomposition reproduces its state when its verify_decomposition
 #: score is at most this: bn_gap rejects one that scores more, and scan
-#: records such a sample as an error row.
+#: records such a sample as an error row.  It also sets which Schmidt
+#: coefficients count as degenerate (relation 2 above).
 RESIDUAL_TOL = 1e-9
 
 #: Stacked evaluations hold at most this many complex entries per stack

@@ -18,9 +18,10 @@ then compare with one ``diff -r``::
     diff -r /tmp/old /tmp/new
 
 The list covers every subcommand in both formats and both log bases,
-``maximize`` with and without degenerate freedom and with an ascent that
-stalls, the exit-2 refusals, and a state path that a CSV cell must quote.  The file has no ``test_``
-prefix, so pytest does not collect it.
+``maximize`` with and without degenerate freedom, with an ascent that
+stalls and on near-ties that are not a block, the exit-2 refusals, and a
+state path that a CSV cell must quote.  The file has no ``test_`` prefix,
+so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from bnineq import (  # noqa: E402
     save_state,
     state_to_document,
 )
+from helpers import tilted_product_state  # noqa: E402
 
 #: Each state file, relative to DIR, and the state it holds.
 STATES = {
@@ -53,6 +55,9 @@ STATES = {
     # a flat spectrum with random bases: the SVD start's rhs is not 0
     "states/flat.json": lambda: PureState(FactorShape((2,) * 4), haar_unitary(4, 3) / 2),
     "states/a,b.json": lambda: canonical_counterexample(2).state,
+    # diag(sqrt(lambda)) with the deformed tilt at eps = 3e-8: near-ties
+    # that are not a degenerate block
+    "states/tilted.json": lambda: tilted_product_state(2, 3e-8),
 }
 
 #: The commands whose reports are compared in both formats and log bases.
@@ -71,6 +76,10 @@ REPORTS = {
     "maximize-deformed": ["maximize", "--input", "states/deformed.json"],
     "check-comma": ["check", "--input", "states/a,b.json"],
     "maximize-comma": ["maximize", "--input", "states/a,b.json"],
+    "check-tilted": ["check", "--input", "states/tilted.json"],
+    "maximize-tilted": ["maximize", "--input", "states/tilted.json"],
+    # a tilt just above the smallest one that degenerate_blocks resolves
+    "deform-eps-1e-9": ["deform", "--dim", "2", "--eps", "1e-9"],
 }
 
 #: Every run, by name: the reports above, then the refusals (exit 2) and

@@ -1,10 +1,12 @@
 """State and decomposition builders that only the tests use."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from bnineq import FactorShape, PureState, SchmidtDecomposition
+from bnineq import FactorShape, PureState, SchmidtDecomposition, deformed_counterexample
+from bnineq.tolerances import RESIDUAL_TOL
 
 
 def basis_state(shape: FactorShape, multi_index) -> PureState:
@@ -27,3 +29,17 @@ def apply_freedom(dec: SchmidtDecomposition, w) -> SchmidtDecomposition:
     It leaves the state unchanged when W is unitary and mixes only equal
     coefficients, as ``maximize_rhs`` applies it."""
     return replace(dec, left=dec.left @ w, right=dec.right @ np.conj(w))
+
+
+def block_gap(k: int) -> float:
+    """The step g in sqrt(lambda) up to which ``degenerate_blocks`` chains
+    k coefficients, computed as the package computes it."""
+    return RESIDUAL_TOL / (2.0 * math.sqrt(k) * max(k - 1, 1))
+
+
+def tilted_product_state(d: int, eps: float) -> PureState:
+    """Amplitude matrix diag(sqrt(lambda)) across {1,2} | {3,4}, with lambda
+    the tilted spectrum of ``deformed_counterexample(d, eps)``: a product
+    basis whose coefficients are near-ties for small eps."""
+    lam = deformed_counterexample(d, eps)[1].coefficients
+    return PureState(FactorShape((d,) * 4), np.diag(np.sqrt(lam)))

@@ -205,11 +205,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "degenerate_blocks cuts at gaps >= the threshold: wrong at (2, 1, 0) * BLOCK_TOL",
+        "degenerate_blocks cuts at gaps >= g: wrong at square roots (g, 0)",
         "schmidt",
-        "lam[1:] > threshold",
-        "lam[1:] >= threshold",
+        "np.diff(np.sqrt(lam)) < -gap",
+        "np.diff(np.sqrt(lam)) <= -gap",
         ("tests/test_schmidt.py::test_degenerate_blocks_examples",),
+    ),
+    Mutant(
+        "degenerate_blocks steps taken on lambda, not sqrt(lambda): wrong at steps of 100 g at 1e-3",
+        "schmidt",
+        "np.diff(np.sqrt(lam))",
+        "np.diff(lam)",
+        ("tests/test_properties.py::test_mixing_inside_the_blocks_stays_within_half_the_gate",),
+    ),
+    Mutant(
+        "Shannon sum in bits, not nats: wrong at every mixed spectrum",
+        "spectra",
+        "np.log(np.where(positive, p, 1.0))",
+        "np.log2(np.where(positive, p, 1.0))",
+        (
+            "tests/test_properties.py::test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean[2-1000]",
+            "tests/test_properties.py::test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean[3-300]",
+        ),
     ),
     Mutant(
         "initial_rhs taken from each new winning start: wrong once a restart wins",

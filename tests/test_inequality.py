@@ -35,8 +35,8 @@ from bnineq import inequality
 from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
 from bnineq.sampling import _haar_unitaries
 from bnineq.spectra import entanglement_entropy_grad
-from bnineq.tolerances import GRAD_TOL, STACK_ELEMENTS, START_TIE_TOL
-from helpers import apply_freedom, basis_state, kron_state
+from bnineq.tolerances import GRAD_TOL, RESIDUAL_TOL, STACK_ELEMENTS, START_TIE_TOL
+from helpers import apply_freedom, basis_state, kron_state, tilted_product_state
 
 TWO_LN_TWO = 1.3862943611198906
 TWO_LN_THREE = 2.1972245773362196
@@ -406,6 +406,16 @@ def test_maximize_is_a_noop_without_degeneracy():
         np.diag(designated.left.conj().T @ dec.left)
     )
     assert np.max(np.abs(overlaps - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("d, eps", [(2, 1e-8), (2, 3e-8), (3, 1e-8), (3, 1e-7), (3, 3e-7)])
+def test_maximize_passes_its_own_gate_on_near_ties(d, eps):
+    # The tilted coefficients differ by more than mixing them could absorb
+    # within the residual gate, so they are not a block, and the search's
+    # own decomposition passes bn_gap with half the gate to spare.
+    s = FourFactorState(tilted_product_state(d, eps))
+    _, report = maximize_rhs(s)
+    assert report.residual <= RESIDUAL_TOL / 2
 
 
 def test_maximize_rejects_negative_budgets():

@@ -1,7 +1,10 @@
 """Physics invariants checked as properties over hypothesis-chosen seeds."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnineq import (
@@ -9,6 +12,8 @@ from bnineq import (
     FactorShape,
     FourFactorState,
     PureState,
+    SchmidtDecomposition,
+    bn_gap,
     bn_lhs,
     bn_rhs,
     canonical_counterexample,
@@ -18,9 +23,11 @@ from bnineq import (
     haar_unitary,
     maximize_rhs,
     schmidt_decompose,
+    verify_decomposition,
 )
 from bnineq.inequality import _rhs_ascent, _rotated, _sides
-from helpers import apply_freedom
+from bnineq.tolerances import RESIDUAL_TOL
+from helpers import apply_freedom, block_gap
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -125,3 +132,61 @@ def test_rotating_the_side_stack_rotates_the_columns(seed, dims):
     for j, q in enumerate(qs):
         assert np.array_equal(stacks[j], _rotated(sides, q))
     assert np.all(stacks[:, padding] == 0.0)
+
+
+#: Clusters of planted near-ties, each (log10 of its square-root level,
+#: its size, log10 of its step in units of the derived step g of
+#: ``degenerate_blocks``): steps from well inside a block to well past the
+#: old fixed tolerance on lambda (1e-8), at levels over three decades.
+clusters = st.lists(
+    st.tuples(st.floats(-3.0, 0.0), st.integers(2, 4), st.floats(-1.0, 3.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3), (3, 3, 3, 3)]), clusters)
+# Steps of 100 g at the level 1e-3 differ by less than g in lambda but not
+# in sqrt(lambda): a rule on lambda would mix them and miss the gate.
+@example(seed=0, dims=(3, 3, 3, 3), clusters=[(0.0, 2, 4.0), (-3.0, 4, 2.0)])
+def test_mixing_inside_the_blocks_stays_within_half_the_gate(seed, dims, clusters):
+    # The guarantee of degenerate_blocks (proof in bnineq.tolerances): a
+    # Haar unitary on each block moves a decomposition by at most half of
+    # RESIDUAL_TOL, whatever the spectrum, so bn_gap accepts the result.
+    d1, d2, d3, d4 = dims
+    k = min(sum(size for _, size, _ in clusters), d1 * d2, d3 * d4)
+    chains = [10.0**a - 10.0**x * block_gap(k) * np.arange(n) for a, n, x in clusters]
+    s = np.sort(np.concatenate(chains))[::-1][:k]
+    s /= np.linalg.norm(s)
+    left = haar_unitary(d1 * d2, derive_seed(seed, 1))[:, :k]
+    right = haar_unitary(d3 * d4, derive_seed(seed, 2))[:, :k]
+    psi = PureState(FactorShape(dims), (left * s) @ right.T)
+    dec = SchmidtDecomposition(ADDITIVITY_SPLIT, s**2, left, right, psi.shape)
+    w = np.eye(k, dtype=np.complex128)
+    for j, b in enumerate(degenerate_blocks(dec.coefficients)):
+        w[np.ix_(b, b)] = haar_unitary(len(b), derive_seed(seed, 3 + j))
+    assert verify_decomposition(psi, apply_freedom(dec, w)) <= RESIDUAL_TOL / 2 + 1e-14
+
+
+def page_mean(m: int, n: int) -> float:
+    """Page's mean entanglement entropy of a Haar state on C^m (x) C^n, m <= n."""
+    return sum(1.0 / j for j in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1000), (3, 300)])
+def test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean(d, n):
+    # psi_t ~ psi_can + t phi with unique Schmidt form: as t -> 0 both of its
+    # bases tend to the eigenbasis of Phi + Phi^H (Phi the amplitude matrix
+    # of the Haar direction phi), which is Haar, while the lhs tends to 0.
+    # So the mean gap tends to -2 S(d, d), and every direction violates.
+    canonical = canonical_counterexample(d).state
+    gaps = np.empty(n)
+    for i in range(n):
+        phi = haar_state(canonical.shape, derive_seed(13, i))
+        amps = canonical.amplitudes + 1e-6 * phi.amplitudes
+        s = FourFactorState(PureState.normalized(canonical.shape, amps))
+        gaps[i] = bn_gap(s, schmidt_decompose(s.state, ADDITIVITY_SPLIT)).gap
+    error = gaps.std(ddof=1) / math.sqrt(n)
+    assert abs(gaps.mean() + 2.0 * page_mean(d, d)) <= 4.0 * error
+    assert gaps.max() < 0.0

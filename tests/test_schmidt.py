@@ -21,8 +21,7 @@ from bnineq import (
     schmidt_decompose,
     verify_decomposition,
 )
-from bnineq.tolerances import BLOCK_TOL
-from helpers import apply_freedom, basis_state, kron_state
+from helpers import apply_freedom, basis_state, block_gap, kron_state
 
 
 def random_state(dims, seed):
@@ -149,14 +148,26 @@ def test_degenerate_blocks_examples():
     assert degenerate_blocks(np.array([0.25, 0.25, 0.25, 0.25])) == ((0, 1, 2, 3),)
     assert degenerate_blocks(np.array([0.5, 0.3, 0.2])) == ((0,), (1,), (2,))
     assert degenerate_blocks(np.array([0.5, 0.5, 0.3, 0.2])) == ((0, 1), (2,), (3,))
-    # both gaps equal BLOCK_TOL * max(1, lambda_max) exactly: one block
-    assert degenerate_blocks(np.array([2 * BLOCK_TOL, BLOCK_TOL, 0.0])) == ((0, 1, 2),)
+    # Square roots 2g, g, 0: both gaps equal the derived g exactly, one block.
+    g = block_gap(3)
+    lam = np.array([2 * g, g, 0.0]) ** 2
+    assert np.array_equal(np.sqrt(lam), [2 * g, g, 0.0])
+    assert degenerate_blocks(lam) == ((0, 1, 2),)
+    # A gap of exactly g chains; the next float above g splits.
+    g = block_gap(2)
+    above = np.nextafter(g, 1.0)
+    assert np.sqrt(g**2) == g and np.sqrt(above**2) == above
+    assert degenerate_blocks([g**2, 0.0]) == ((0, 1),)
+    assert degenerate_blocks([above**2, 0.0]) == ((0,), (1,))
 
 
 def test_degenerate_blocks_chains_near_ties():
-    lam = np.array([0.5, 0.5 - 5e-9, 0.5 - 1e-8 + 1e-12])
-    # renormalize is irrelevant here; the function only looks at gaps
-    assert degenerate_blocks(lam) == ((0, 1, 2),)
+    # Square-root steps of 0.6 g chain three values 1.2 g apart into one
+    # block; the step of 2 g after them starts a new one.  The function only
+    # looks at gaps, so the coefficients need not sum to 1.
+    g = block_gap(4)
+    lam = (0.5 - g * np.array([0.0, 0.6, 1.2, 3.2])) ** 2
+    assert degenerate_blocks(lam) == ((0, 1, 2), (3,))
 
 
 def test_degenerate_blocks_rejects_unsorted():
@@ -164,6 +175,11 @@ def test_degenerate_blocks_rejects_unsorted():
         degenerate_blocks(np.array([0.2, 0.8]))
     with pytest.raises(InputError, match="empty coefficient list"):
         degenerate_blocks([])
+    # the rule takes square roots, so a negative coefficient is refused
+    with pytest.raises(InputError, match="negative coefficient"):
+        degenerate_blocks([0.6, 0.5, -0.1])
+    with pytest.raises(InputError, match="negative coefficient"):
+        degenerate_blocks([-1e-300])
 
 
 # ------------------------------------------------------------------- rotate
