@@ -6,10 +6,13 @@ with; the wrappers pin down ordering, validation, and error mapping.
 
 Every entropy of a pure vector goes through one kernel,
 :func:`entanglement_entropy`: the vector is reshaped to a matrix M, the
-spectrum of the smaller reduced density matrix M M^H is taken by
-``eigvalsh``, then the clipped Shannon sum; its gradient comes from the
-``eigh`` of the same M M^H, so no entropy needs the SVD.  Every entropy
-is in nats; only the command line converts to bits.
+spectrum of the smaller reduced density matrix M M^H is taken, then the
+clipped Shannon sum.  When the shorter side has 2 rows (a qubit cut) the
+spectrum is the closed form p± = (a + c)/2 ± hypot(a − c, 2|b|)/2 of the
+2×2 matrix [[a, b*], [b, c]]; every other shape goes to batched
+``eigvalsh``.  The gradient comes from the ``eigh`` of the same M M^H,
+so no entropy needs the SVD.  Every entropy is in nats; only the command
+line converts to bits.
 """
 
 from __future__ import annotations
@@ -96,13 +99,22 @@ def entanglement_entropy(matrices) -> np.ndarray:
     ``matrices`` is a stack (..., m, n) of unit vectors, each reshaped so
     that its rows index one side of the cut.  Both marginals have the same
     nonzero spectrum, so the smaller one, ``M M^H`` over the shorter side,
-    is formed as a plain array and its eigenvalues taken by ``eigvalsh``;
-    they carry an absolute error of about machine epsilon.  Returns an
-    array of shape ``matrices.shape[:-2]``.
+    is the one taken.  When that side has 2 rows r0 and r1, its eigenvalues
+    are p± = (a + c)/2 ± hypot(a − c, 2|b|)/2 with a = |r0|^2, c = |r1|^2
+    and b = <r1, r0>, and no eigensolver runs; otherwise ``M M^H`` is
+    formed as a plain array and its eigenvalues taken by ``eigvalsh``.
+    Either way each p carries an absolute error of a few eps (a + c).
+    Returns an array of shape ``matrices.shape[:-2]``.
     """
     m = np.asarray(matrices)
     if m.shape[-2] > m.shape[-1]:
         m = m.swapaxes(-1, -2)
+    if m.shape[-2] == 2:
+        norms = (m.real**2 + m.imag**2).sum(axis=-1)
+        a, c = norms[..., 0], norms[..., 1]
+        b = np.abs((m[..., 1, :] * m[..., 0, :].conj()).sum(axis=-1))
+        mid, half = 0.5 * (a + c), 0.5 * np.hypot(a - c, 2.0 * b)
+        return _shannon(np.stack((mid + half, mid - half), axis=-1))
     return _shannon(_lapack("eigvalsh", m @ m.conj().swapaxes(-1, -2)))
 
 

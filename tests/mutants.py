@@ -67,6 +67,13 @@ MUTANTS = (
         ("tests/test_spectra.py::test_entanglement_entropy_grad_matches_the_svd_formula",),
     ),
     Mutant(
+        "qubit-cut discriminant with |b| for 2|b|: wrong at every entangled qubit cut",
+        "spectra",
+        "np.hypot(a - c, 2.0 * b)",
+        "np.hypot(a - c, b)",
+        ("tests/test_spectra.py::test_qubit_cut_closed_form_matches_the_svd_spectrum",),
+    ),
+    Mutant(
         "padded right block at the far corner: wrong at (2, 3, 3, 2)",
         "inequality",
         "out[..., k:, :d3, :d4] = ",

@@ -4,17 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnineq import (
+    ADDITIVITY_SPLIT,
     DensityMatrix,
     FactorShape,
     InputError,
     NumericalError,
     PureState,
     Spectrum,
+    bn_rhs,
     canonical_counterexample,
     degenerate_blocks,
+    haar_state,
     haar_unitary,
     hermitian_eigen,
     partial_trace,
+    schmidt_decompose,
     von_neumann_entropy,
 )
 from bnineq.spectra import (
@@ -263,6 +267,45 @@ def test_entanglement_entropy_matches_exact_and_svd_spectra(seed, shape, second)
     assert np.max(np.abs(stacked - value)) <= 5e-14
 
 
+qubit_cuts = st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (5, 2)])
+# random, then product, Bell and near-product spectra down to a 1e-20 weight
+qubit_spectra = st.sampled_from(["random", 0.0, 0.5, 1e-8, 1e-13, 1e-20])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    qubit_cuts,
+    qubit_spectra,
+    st.sampled_from([(), (3,), (2, 4)]),
+)
+def test_qubit_cut_closed_form_matches_the_svd_spectrum(seed, shape, second, lead):
+    count = int(np.prod(lead))
+    if second == "random":
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((count, *shape)) + 1j * rng.standard_normal((count, *shape))
+        m /= np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+    else:
+        p = spectrum_of(second, 2)
+        m = np.stack([matrix_with_spectrum(shape, p, seed + 2 * i) for i in range(count)])
+    values = entanglement_entropy(m.reshape(*lead, *shape))
+    assert values.shape == lead
+    reference = np.array([svd_entropy(x) for x in m])
+    assert np.max(np.abs(values.reshape(-1) - reference)) <= 5e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2, 3), (2, 3, 2, 2), (2, 2, 2, 3)])
+def test_bn_rhs_on_qubit_sides_matches_the_svd_spectra(dims):
+    # Every side is a 2-row matrix; the last two shapes zero-pad one side.
+    for seed in range(10):
+        dec = schmidt_decompose(haar_state(FactorShape(dims), 900 + seed), ADDITIVITY_SPLIT)
+        reference = sum(
+            lam * (svd_entropy(left.reshape(dims[:2])) + svd_entropy(right.reshape(dims[2:])))
+            for lam, left, right in zip(dec.coefficients, dec.left.T, dec.right.T)
+        )
+        assert abs(bn_rhs(dec) - reference) <= 5e-14
+
+
 def svd_gradient(m):
     """Test-local reference: -2 U diag(s ln s^2) V^H from the SVD."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -303,7 +346,23 @@ def test_entanglement_entropy_reports_a_failed_eigensolver(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericalError, match="did not converge"):
-        entanglement_entropy(np.eye(2) / np.sqrt(2.0))
+        entanglement_entropy(np.eye(3) / np.sqrt(3.0))
+
+
+def test_entanglement_entropy_of_a_qubit_cut_calls_no_eigensolver(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigensolver ran on a qubit cut")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    bell, product = np.eye(2, 5) / np.sqrt(2.0), np.eye(2, 5)
+    product[1, 1] = 0.0
+    values = entanglement_entropy(np.stack([bell, product]))
+    assert values[0] == pytest.approx(np.log(2.0), abs=1e-15)
+    assert values[1] == 0.0
+    # a tall (n, 2) matrix is a qubit cut on its column side
+    tall = np.eye(4, 2) / np.sqrt(2.0)
+    assert float(entanglement_entropy(tall)) == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 @pytest.mark.parametrize(
