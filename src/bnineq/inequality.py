@@ -136,6 +136,12 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
     return float(_rhs(dec.coefficients[None], sides)[0])
 
 
+def _unreproduced(score: float) -> str:
+    """The residual gate's refusal, for ``bn_gap`` and ``scan`` alike."""
+    gate = f"verification score {score:.3e} > {RESIDUAL_TOL}"
+    return f"decomposition does not reproduce the state ({gate})"
+
+
 def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom") -> GapReport:
     """Evaluate both sides of the inequality and their gap.
 
@@ -145,10 +151,7 @@ def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom"
     """
     score = verify_decomposition(s.state, dec)
     if not (score <= RESIDUAL_TOL):
-        raise InputError(
-            f"decomposition does not reproduce the state (worst violation "
-            f"{score:.3e} > {RESIDUAL_TOL})"
-        )
+        raise InputError(_unreproduced(score))
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)
     return GapReport(lhs, rhs, lhs - rhs, score, source)

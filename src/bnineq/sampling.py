@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, bn_lhs, bn_rhs
-from .schmidt import (
-    _arranged, _haar_unitaries, _schmidt_stack, _verify_stack, schmidt_decompose,
-    verify_decomposition,
-)
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, _unreproduced, bn_gap
+from .schmidt import _arranged, _haar_unitaries, _schmidt_stack, _verify_stack, schmidt_decompose
 from .tensor import FactorShape, PureState, _as_int
 from .tolerances import (
     MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
@@ -134,8 +131,11 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
 
     Stacks of at most ``STACK_ELEMENTS`` amplitudes run the kernels
     of :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
-    and ``bn_rhs``, so each row equals the single-state evaluation; a
-    stack that raises a numerical error is redone one sample at a time.
+    and ``bn_rhs``, so each row equals the single-state evaluation.  A
+    stack that raises a numerical error is redone one sample at a time
+    as :func:`bn_gap` over :func:`schmidt_decompose`, the route of
+    ``bnineq check``: a sample that fails there keeps the error's text,
+    or the gate's refusal, as its message.
 
     Note what the aggregate shows: with the SVD decomposition one Haar
     state in about 15 violates the inequality at d = 2 (68 of 1000, seed
@@ -167,14 +167,12 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         except NumericalError:
             for i, psi in enumerate(states, start):
                 try:
-                    dec = schmidt_decompose(psi, ADDITIVITY_SPLIT)
-                    score[i] = verify_decomposition(psi, dec)
-                    lhs[i], rhs[i] = bn_lhs(FourFactorState(psi)), bn_rhs(dec)
-                except NumericalError as exc:
+                    report = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
+                    lhs[i], rhs[i], score[i] = report.lhs, report.rhs, report.residual
+                except (NumericalError, InputError) as exc:
                     errors[i] = str(exc)
     for i in np.flatnonzero(~(score <= RESIDUAL_TOL)).tolist():
-        message = f"decomposition verification score {score[i]:.3e} > {RESIDUAL_TOL}"
-        errors.setdefault(i, message)
+        errors.setdefault(i, _unreproduced(score[i]))
     bad = list(errors)
     lhs[bad] = rhs[bad] = np.nan
     seeds = np.array(seeds, dtype=np.uint64)

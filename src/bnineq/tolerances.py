@@ -5,7 +5,7 @@ decomposition counts as valid, decides whether the inequality is violated,
 so these numbers are part of the physics claim.  They live here, one line
 of reason each, and no function takes a tolerance keyword.
 
-Two relations tie the entries to each other (eps is the float64 machine
+Three relations tie the entries to each other (eps is the float64 machine
 epsilon).
 
 1. ``MAX_TOTAL_DIMENSION * eps < RESIDUAL_TOL``.  ``schmidt_decompose``
@@ -36,12 +36,21 @@ epsilon).
    squares over the blocks, with n_b <= k and sum n_b = k,
    ``||W S W^H - S||_F^2 <= sum_b n_b (n_b - 1)^2 g^2 <= k (k - 1)^2 g^2``,
    that is ``||W S W^H - S||_F <= sqrt(k) (k - 1) g = RESIDUAL_TOL / 2``.
+
+3. ``(1 + NORM_ATOL)**2 - 1 < MATRIX_ATOL / 10``.  ``PureState`` accepts
+   a norm within ``NORM_ATOL`` of 1, and the squared norm is both the sum
+   of the Schmidt coefficients, which ``SchmidtDecomposition`` refuses
+   beyond ``MATRIX_ATOL`` of 1, and the trace of every partial trace,
+   which ``DensityMatrix`` refuses alike.  So every accepted state can be
+   decomposed and traced, with nine tenths of ``MATRIX_ATOL`` left for
+   roundoff.
 """
 
 #: Hard cap on the total dimension of any state handled by the package.
 MAX_TOTAL_DIMENSION = 10**6
 
-#: Pure-state amplitude vectors must have unit norm to this tolerance.
+#: Pure-state amplitude vectors must have unit norm to this tolerance
+#: (relation 3 above).
 NORM_ATOL = 1e-12
 
 #: State files are accepted when the stored amplitudes have norm within

@@ -66,6 +66,8 @@ REPORTS = {
     "counterexample-d3": ["counterexample", "--dim", "3"],
     "deform": ["deform", "--dim", "2", "--eps", "0.1"],
     "scan": ["scan", "--dim", "2", "--samples", "20", "--seed", "7"],
+    # d = 3 sides are not qubit cuts, so this rhs takes batched eigvalsh
+    "scan-d3": ["scan", "--dim", "3", "--samples", "10", "--seed", "7"],
     "check-haar": ["check", "--input", "states/haar.json"],
     "check-canon": ["check", "--input", "states/canon.json"],
     "maximize-d2": ["maximize", "--dim", "2"],

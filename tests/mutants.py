@@ -281,6 +281,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the scan's one-sample route lets the gate's refusal escape: wrong once bn_gap refuses",
+        "sampling",
+        "except (NumericalError, InputError) as exc:",
+        "except NumericalError as exc:",
+        ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",),
+    ),
+    Mutant(
+        "the scan's gate overwrites a numerical failure's message: wrong at a failed SVD",
+        "sampling",
+        "errors.setdefault(i, _unreproduced(score[i]))",
+        "errors[i] = _unreproduced(score[i])",
+        (
+            "tests/test_sampling.py::test_scan_isolates_a_failing_sample_in_its_stack",
+            "tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",
+        ),
+    ),
+    Mutant(
+        "a norm gate as wide as the unit-sum gates: wrong at norm 1 + 0.999e-10",
+        "tolerances",
+        "NORM_ATOL = 1e-12",
+        "NORM_ATOL = 1e-10",
+        (
+            "tests/test_tolerances.py::test_the_relations_the_table_promises",
+            "tests/test_tolerances.py::test_a_state_at_the_edge_of_the_norm_gate_decomposes_and_traces[1-2x2x2x2]",
+            "tests/test_tolerances.py::test_a_state_at_the_edge_of_the_norm_gate_decomposes_and_traces[-1-4x4x4x4]",
+        ),
+    ),
+    Mutant(
         "maximize subparser wired to the check handler: wrong at maximize --dim 2",
         "cli",
         "common(p, lambda *a: run_maximize(*a))",

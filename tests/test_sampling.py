@@ -192,6 +192,37 @@ def test_scan_records_samples_that_fail_the_residual_gate(monkeypatch):
     assert report.violation_count == clean.violation_count - 1
 
 
+def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
+    # Sample 7 breaks the stack's SVD, so all 20 samples take the bn_gap
+    # route, whose gate refuses sample 3 with the text a stacked row gets.
+    clean = scan(20, Q4, 3)
+    third = haar_state(Q4, derive_seed(3, 3)).amplitudes
+    verify = bnineq.sampling._verify_stack
+
+    def stack_scores(*args):
+        score = verify(*args)
+        score[3] = 1e-6
+        return score
+
+    monkeypatch.setattr(bnineq.sampling, "_verify_stack", stack_scores)
+    stacked = scan(20, Q4, 3).errors[3]
+    monkeypatch.setattr(bnineq.sampling, "_verify_stack", verify)
+    verify_one = bnineq.inequality.verify_decomposition
+
+    def scores(psi, dec):
+        return 1e-6 if np.array_equal(psi.amplitudes, third) else verify_one(psi, dec)
+
+    monkeypatch.setattr(bnineq.inequality, "verify_decomposition", scores)
+    fail_svd_on(haar_state(Q4, derive_seed(3, 7)).amplitudes)
+    report = scan(20, Q4, 3)
+    assert report.errors == {3: stacked, 7: "SVD failed to converge: injected"}
+    assert "does not reproduce the state" in stacked and "verification score" in stacked
+    keep = ~np.isin(np.arange(20), [3, 7])
+    for name in ("lhs", "rhs", "gap"):
+        assert np.all(np.isnan(getattr(report, name)[~keep]))
+        assert np.array_equal(getattr(report, name)[keep], getattr(clean, name)[keep])
+
+
 def page_entropy(m, n):
     """Mean entanglement entropy of a Haar-random state on C^m (x) C^n
     (Page, PRL 71, 1291, 1993)."""
