@@ -7,7 +7,6 @@ evaluates both sides for any Schmidt decomposition across the
 Schmidt spectra for the largest right-hand side.
 """
 
-from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
     FourFactorState,
@@ -45,6 +44,8 @@ from .spectra import (
 from .tensor import (
     DensityMatrix,
     FactorShape,
+    InputError,
+    NumericalError,
     PureState,
     load_state,
     partial_trace,

@@ -38,7 +38,6 @@ import sys
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
 from .inequality import (
     ADDITIVITY_SPLIT,
     FourFactorState,
@@ -51,7 +50,7 @@ from .inequality import (
 )
 from .sampling import scan
 from .schmidt import degenerate_blocks, schmidt_decompose
-from .tensor import FactorShape, load_state
+from .tensor import FactorShape, InputError, NumericalError, load_state
 
 
 def _fmt(x: float) -> str:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import InputError
 from .schmidt import (
     BipartiteSplit,
     _arranged,
@@ -34,7 +33,7 @@ from .schmidt import (
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
-from .tensor import FactorShape, PureState, _as_int
+from .tensor import FactorShape, InputError, PureState, _as_int
 from .tolerances import (
     GRAD_TOL,
     MAX_SEARCH_WORK,
@@ -69,9 +68,13 @@ class GapReport:
 
     ``gap < 0`` certifies a violation for the decomposition used, and
     ``residual`` is its verification score, which :func:`bn_gap` gated on.
-    ``decomposition_source`` names its origin (svd, product, entangled,
-    deformed, rotated or custom).  Only :func:`maximize_rhs` sets the last
-    two, to its search record and to the rhs of its SVD start.
+    ``decomposition_source`` names its origin.  The package sets three tags:
+    "svd" (``bnineq check``, and :func:`maximize_rhs` with no degenerate
+    freedom), "rotated" (a search by :func:`maximize_rhs`) and "custom" (the
+    default of :func:`bn_gap`); any other tag, such as the README's
+    "entangled" or "deformed", is the caller's own label.  Only
+    :func:`maximize_rhs` sets ``state_descriptor`` and ``initial_rhs``, to
+    its search record and to the rhs of its SVD start.
     """
 
     lhs: float
@@ -101,13 +104,13 @@ def _sides(left: np.ndarray, right: np.ndarray, dims) -> np.ndarray:
 
 
 def _rhs(lam: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """:func:`bn_rhs` of each decomposition in a stack: coefficients (n, k)
-    and :func:`_sides` stacks (n, 2k, m, n'), both sides in one
-    :func:`entanglement_entropy` call."""
-    k = lam.shape[1]
+    """:func:`bn_rhs` of each decomposition in a stack: coefficients (n, k),
+    or one (k,) vector for every row, and :func:`_sides` stacks
+    (n, 2k, m, n'), both sides in one :func:`entanglement_entropy` call."""
+    k = lam.shape[-1]
     s = entanglement_entropy(sides)
     # One dot product per row through matmul, which sums as ``lam @ s`` does.
-    return (lam[:, None, :] @ (s[:, :k] + s[:, k:])[:, :, None])[:, 0, 0]
+    return (lam[..., None, :] @ (s[:, :k] + s[:, k:])[:, :, None])[:, 0, 0]
 
 
 def bn_lhs(s: FourFactorState) -> float:
@@ -133,7 +136,7 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
             f"{ADDITIVITY_SPLIT.right}, got {dec.split.left} | {dec.split.right}"
         )
     sides = _sides(dec.left[None], dec.right[None], dec.shape.dims)
-    return float(_rhs(dec.coefficients[None], sides)[0])
+    return float(_rhs(dec.coefficients, sides)[0])
 
 
 def _unreproduced(score: float) -> str:
@@ -403,9 +406,8 @@ def maximize_rhs(
         drawn = w[1:] if start == 0 else w
         for rng, b in zip(rngs, wide_blocks):
             drawn[:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), rng, len(drawn))
-        lams = np.broadcast_to(lam, (len(w), k))
         rotated = _rotated(sides, w)
-        for i, t_value in enumerate(_rhs(lams, rotated).tolist(), start):
+        for i, t_value in enumerate(_rhs(lam, rotated).tolist(), start):
             if i == 0:
                 initial = t_value
             if i == 0 or t_value > value + START_TIE_TOL:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
 from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, _unreproduced, bn_gap
 from .schmidt import _arranged, _haar_unitaries, _schmidt_stack, _verify_stack, schmidt_decompose
-from .tensor import FactorShape, PureState, _as_int
+from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int
 from .tolerances import (
     MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
 )

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .exceptions import InputError
-from .tensor import FactorShape, PureState, _as_int, _descending, _positions
+from .tensor import FactorShape, InputError, PureState, _as_int, _descending, _positions
 from .tolerances import MATRIX_ATOL, RESIDUAL_TOL
 
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
-from .tensor import DensityMatrix, _descending, _hermitian, _lapack
+from .tensor import DensityMatrix, InputError, NumericalError, _descending, _hermitian, _lapack
 from .tolerances import MATRIX_ATOL
 
 

@@ -12,11 +12,14 @@ Conventions used throughout the package:
   order of ``numpy.ravel_multi_index``.
 * Basis labels inside a single factor are 0-based (0 .. d-1).
 
-Input rules, each written once here, raise :class:`InputError`: ``_as_int``
-refuses NaN, inf, fractions, bools, non-numbers and integers below ``least``;
-``_descending``, non-finite or ascending real vectors; ``_hermitian``,
-non-square, non-finite or non-Hermitian matrices; ``_positions``, empty,
-repeated or out-of-range factor positions.
+The package's two error types are defined here, beside the rules that
+raise them.  Input rules, each written once here, raise :class:`InputError`:
+``_as_int`` refuses NaN, inf, fractions, bools, non-numbers and integers
+below ``least``; ``_descending``, non-finite or ascending real vectors;
+``_hermitian``, non-square, non-finite or non-Hermitian matrices;
+``_positions``, empty, repeated or out-of-range factor positions.
+``_lapack`` raises :class:`NumericalError` when a LAPACK solver fails to
+converge.
 """
 
 from __future__ import annotations
@@ -29,8 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import InputError, NumericalError
 from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
+
+
+class InputError(ValueError):
+    """Invalid argument, malformed file, or violated precondition; the CLI
+    exits with code 2."""
+
+
+class NumericalError(RuntimeError):
+    """Numerical failure: solver non-convergence, or a spectrum so far out
+    of range that it signals a bug upstream rather than roundoff; the CLI
+    exits with code 3."""
 
 
 def _as_int(value, what: str, least: int | None = None) -> int:

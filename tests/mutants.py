@@ -93,8 +93,8 @@ MUTANTS = (
     Mutant(
         "rhs weighted by sqrt(lambda): wrong at (2, 2, 2, 2)",
         "inequality",
-        "(lam[:, None, :] @ (s[:, :k]",
-        "(np.sqrt(lam)[:, None, :] @ (s[:, :k]",
+        "(lam[..., None, :] @ (s[:, :k]",
+        "(np.sqrt(lam)[..., None, :] @ (s[:, :k]",
         (
             "tests/test_inequality.py::test_rhs_cross_checked_against_naive_oracle[2x2x2x2]",
             "tests/test_inequality.py::test_rhs_of_entangled_decomposition",

@@ -50,6 +50,22 @@ def test_every_import_is_at_module_level(path):
     assert nested == []
 
 
+#: The package's modules, each importing only modules before it.
+ORDER = ("tolerances", "tensor", "spectra", "schmidt", "inequality", "sampling", "cli")
+
+
+def test_every_relative_import_names_an_earlier_module():
+    # ``__init__`` is exempt: it gathers the public names of every module.
+    later = []
+    for i, stem in enumerate(ORDER):
+        for node in ast.walk(parse(SOURCE / f"{stem}.py")):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                later += [(stem, name) for name in names if name not in ORDER[:i]]
+    assert later == []
+    assert sorted(ORDER) == [p.stem for p in MODULES]
+
+
 def test_every_exported_name_exists():
     assert len(set(bnineq.__all__)) == len(bnineq.__all__)
     assert [name for name in bnineq.__all__ if not hasattr(bnineq, name)] == []
