@@ -26,7 +26,23 @@ from .tolerances import (
 )
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(master_seed: int, index: np.ndarray) -> np.ndarray:
+    """SplitMix64 of ``(master_seed, i)`` for each i of the 1-d uint64
+    array ``index``, as a uint64 array: the layout of :func:`derive_seed`.
+
+    Every operand is an array or an explicit ``np.uint64``, so the
+    arithmetic wraps mod 2^64 without an overflow warning and promotes
+    alike under every numpy the package supports.
+    """
+    z = (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(master_seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -35,22 +51,23 @@ def derive_seed(master_seed: int, index: int) -> int:
     SplitMix64: the state ``master_seed + (index + 1) * 0x9E3779B97F4A7C15``
     (mod 2^64) is passed through the SplitMix64 output permutation
     (xor-shift-multiply with the published constants).  Pure integer
-    arithmetic, so the stream layout is fixed for all time.
+    arithmetic, so the stream layout is fixed for all time.  ``scan``
+    derives all of its seeds in one uint64 pass with the same layout.
     """
-    z = (_as_int(master_seed, "master_seed") + (_as_int(index, "index") + 1) * _GOLDEN64) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    master_seed, index = _as_int(master_seed, "master_seed"), _as_int(index, "index")
+    return _splitmix64(master_seed, np.array([index & _MASK64], dtype=np.uint64)).tolist()[0]
 
 
 def haar_state(shape: FactorShape, seed: int) -> PureState:
-    """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes."""
+    """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes.
+
+    One draw of shape (2, D) gives the real parts (row 0) and the imaginary
+    parts (row 1); interleaving the rows by a copy and viewing the pairs as
+    complex gives the values of ``x[0] + 1j * x[1]`` without the arithmetic.
+    """
     rng = np.random.default_rng(_as_int(seed, "seed") & _MASK64)
     x = rng.standard_normal((2, shape.total_dimension))
-    return PureState.normalized(shape, x[0] + 1j * x[1])
+    return PureState.normalized(shape, x.T.copy().view(np.complex128))
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
@@ -149,13 +166,14 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
             f"{n_samples} samples of dimension {shape.total_dimension} exceed the supported "
             f"maximum of {MAX_SCAN_AMPLITUDES} amplitudes per scan"
         )
-    seeds = [derive_seed(master_seed, i) for i in range(n_samples)]
+    seeds = _splitmix64(master_seed, np.arange(n_samples, dtype=np.uint64))
+    seeds.setflags(write=False)
     lhs, rhs, score = np.full((3, n_samples), np.nan)
     errors: dict[int, str] = {}
     chunk = max(1, STACK_ELEMENTS // shape.total_dimension)
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        states = [haar_state(shape, seed) for seed in seeds[start:stop]]
+        states = [haar_state(shape, seed) for seed in seeds[start:stop].tolist()]
         amps = np.stack([psi.amplitudes for psi in states])
         m = _arranged(amps, shape, ADDITIVITY_SPLIT)
         try:
@@ -174,8 +192,6 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         errors.setdefault(i, _unreproduced(score[i]))
     bad = list(errors)
     lhs[bad] = rhs[bad] = np.nan
-    seeds = np.array(seeds, dtype=np.uint64)
-    seeds.setflags(write=False)
     return ScanReport(
         shape, master_seed, seeds, lhs, rhs, lhs - rhs, dict(sorted(errors.items()))
     )

@@ -19,9 +19,10 @@ then compare with one ``diff -r``::
 
 The list covers every subcommand in both formats and both log bases,
 ``maximize`` with and without degenerate freedom, with an ascent that
-stalls and on near-ties that are not a block, the exit-2 refusals, and a
-state path that a CSV cell must quote.  The file has no ``test_`` prefix,
-so pytest does not collect it.
+stalls and on near-ties that are not a block, a scan of more than one
+stack of samples, the exit-2 refusals, and a state path that a CSV cell
+must quote.  The file has no ``test_`` prefix, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ REPORTS = {
     "scan": ["scan", "--dim", "2", "--samples", "20", "--seed", "7"],
     # d = 3 sides are not qubit cuts, so this rhs takes batched eigvalsh
     "scan-d3": ["scan", "--dim", "3", "--samples", "10", "--seed", "7"],
+    # one stack of 256 samples at d = 4 and part of a second
+    "scan-d4-chunks": ["scan", "--dim", "4", "--samples", "300", "--seed", "7"],
     "check-haar": ["check", "--input", "states/haar.json"],
     "check-canon": ["check", "--input", "states/canon.json"],
     "maximize-d2": ["maximize", "--dim", "2"],

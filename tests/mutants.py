@@ -281,6 +281,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "Haar amplitudes paired along a row, not across the rows: wrong at every seed",
+        "sampling",
+        "x.T.copy().view(np.complex128)",
+        "x.copy().view(np.complex128)",
+        (
+            "tests/test_sampling.py::test_haar_state_equals_the_documented_draw[dims0]",
+            "tests/test_sampling.py::test_haar_state_equals_the_documented_draw[dims1]",
+        ),
+    ),
+    Mutant(
+        "SplitMix64 state at index i, not i + 1: wrong at every seed",
+        "sampling",
+        "(index + np.uint64(1)) * ",
+        "index * ",
+        (
+            "tests/test_sampling.py::test_derive_seed_frozen_anchors",
+            "tests/test_sampling.py::test_scan_keeps_each_derived_seed",
+        ),
+    ),
+    Mutant(
         "the scan's one-sample route lets the gate's refusal escape: wrong once bn_gap refuses",
         "sampling",
         "except (NumericalError, InputError) as exc:",

@@ -41,8 +41,9 @@ def test_derive_seed_frozen_anchors():
 
 
 def test_derive_seed_matches_reference_mixer():
-    for master in (0, 7, 2**63, 123456789):
-        for index in (0, 1, 17, 999):
+    # Masters and indices outside [0, 2^64) are taken mod 2^64.
+    for master in (0, 7, 2**63, 123456789, 2**64 - 1, -1, 2**70 + 3):
+        for index in (0, 1, 17, 999, 2**63, -1):
             assert derive_seed(master, index) == reference_splitmix64(master, index)
 
 
@@ -67,6 +68,18 @@ def test_haar_state_determinism():
     assert np.array_equal(a.amplitudes, b.amplitudes)
     c = haar_state(Q4, 12346)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (1, 2, 3, 2)])
+def test_haar_state_equals_the_documented_draw(dims):
+    # default_rng(seed mod 2^64) draws (2, D) normals: real parts, then
+    # imaginary parts, normalized.
+    shape = FactorShape(dims)
+    for seed in [0, 7, -1, 2**64 - 1, derive_seed(3, 1), 123456789]:
+        x = np.random.default_rng(seed & ((1 << 64) - 1)).standard_normal((2, shape.total_dimension))
+        v = x[0] + 1j * x[1]
+        want = v / np.linalg.norm(v)
+        assert haar_state(shape, seed).amplitudes.tobytes() == want.tobytes(), seed
 
 
 def test_haar_state_first_amplitude_statistics():
@@ -279,11 +292,14 @@ def test_scan_succeeds_without_errors_at_small_sizes():
 
 
 def test_scan_keeps_each_derived_seed():
-    for master in (7, -1):
-        report = scan(40, Q4, master)
+    # The last scan crosses a stack boundary: one full stack and one sample.
+    cases = [(7, 40), (-1, 40), (0, 40), (2**64 - 1, 40), (7, STACK_ELEMENTS // Q4.total_dimension + 1)]
+    for master, n in cases:
+        report = scan(n, Q4, master)
         assert report.seeds.dtype == np.uint64
         assert not report.seeds.flags.writeable
-        assert report.seeds.tolist() == [derive_seed(master, i) for i in range(40)]
+        assert report.seeds.tolist() == [derive_seed(master, i) for i in range(n)]
+        assert report.seeds.tolist() == [reference_splitmix64(master, i) for i in range(n)]
 
 
 def test_scan_refuses_too_many_amplitudes(monkeypatch):
