@@ -5,92 +5,24 @@ The library builds the family of states for which the inequality fails,
 evaluates both sides for any Schmidt decomposition across the
 {1,2} | {3,4} split, and searches the decomposition freedom of degenerate
 Schmidt spectra for the largest right-hand side.
+
+Each of the modules ``tensor``, ``spectra``, ``schmidt``, ``inequality``
+and ``sampling`` names its public API in its own ``__all__``; the package
+re-exports those names, and its ``__all__`` is their concatenation.
 """
 
-from .inequality import (
-    ADDITIVITY_SPLIT,
-    FourFactorState,
-    GapReport,
-    bell_basis,
-    bn_gap,
-    bn_lhs,
-    bn_rhs,
-    canonical_counterexample,
-    deformed_counterexample,
-    entangled_decomposition,
-    maximize_rhs,
-    product_decomposition,
-)
-from .sampling import (
-    SampleRecord,
-    ScanReport,
-    derive_seed,
-    haar_state,
-    haar_unitary,
-    scan,
-)
-from .schmidt import (
-    BipartiteSplit,
-    SchmidtDecomposition,
-    degenerate_blocks,
-    schmidt_decompose,
-    verify_decomposition,
-)
-from .spectra import (
-    Spectrum,
-    hermitian_eigen,
-    von_neumann_entropy,
-)
-from .tensor import (
-    DensityMatrix,
-    FactorShape,
-    InputError,
-    NumericalError,
-    PureState,
-    load_state,
-    partial_trace,
-    partial_trace_naive,
-    save_state,
-    state_to_document,
-)
+from . import inequality, sampling, schmidt, spectra, tensor
+from .inequality import *
+from .sampling import *
+from .schmidt import *
+from .spectra import *
+from .tensor import *
 
-__all__ = [
-    "ADDITIVITY_SPLIT",
-    "BipartiteSplit",
-    "DensityMatrix",
-    "FactorShape",
-    "FourFactorState",
-    "GapReport",
-    "InputError",
-    "NumericalError",
-    "PureState",
-    "SampleRecord",
-    "ScanReport",
-    "SchmidtDecomposition",
-    "Spectrum",
-    "bell_basis",
-    "bn_gap",
-    "bn_lhs",
-    "bn_rhs",
-    "canonical_counterexample",
-    "deformed_counterexample",
-    "degenerate_blocks",
-    "derive_seed",
-    "entangled_decomposition",
-    "haar_state",
-    "haar_unitary",
-    "hermitian_eigen",
-    "load_state",
-    "maximize_rhs",
-    "partial_trace",
-    "partial_trace_naive",
-    "product_decomposition",
-    "save_state",
-    "scan",
-    "schmidt_decompose",
-    "state_to_document",
-    "verify_decomposition",
-    "von_neumann_entropy",
-]
+__all__: list[str] = []
+__all__ += tensor.__all__
+__all__ += spectra.__all__
+__all__ += schmidt.__all__
+__all__ += inequality.__all__
+__all__ += sampling.__all__
 
 __version__ = "0.1.0"

@@ -27,7 +27,9 @@ from .schmidt import (
     BipartiteSplit,
     _arranged,
     _haar_unitaries,
+    _schmidt_arrays,
     _schmidt_stack,
+    _verify_stack,
     SchmidtDecomposition,
     degenerate_blocks,
     verify_decomposition,
@@ -41,6 +43,12 @@ from .tolerances import (
     STACK_ELEMENTS,
     START_TIE_TOL,
 )
+
+__all__ = [
+    "ADDITIVITY_SPLIT", "FourFactorState", "GapReport", "bn_lhs", "bn_rhs", "bn_gap",
+    "canonical_counterexample", "bell_basis", "product_decomposition", "entangled_decomposition",
+    "deformed_counterexample", "maximize_rhs",
+]
 
 #: The bipartition across which Schmidt decompositions are taken.
 ADDITIVITY_SPLIT = BipartiteSplit((1, 2), (3, 4))
@@ -158,6 +166,18 @@ def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom"
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)
     return GapReport(lhs, rhs, lhs - rhs, score, source)
+
+
+def _svd_gaps(amps: np.ndarray, shape: FactorShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lhs, rhs and verification score of each state in a stack (n, D) of
+    amplitude vectors with its SVD decomposition across ``ADDITIVITY_SPLIT``:
+    the kernels of :func:`bn_gap` over :func:`schmidt_decompose`, one call
+    each for the whole stack, so each row equals that evaluation.  The
+    residual gate is left to the caller."""
+    m = _arranged(amps, shape, ADDITIVITY_SPLIT)
+    lam, left, right = _schmidt_stack(m)
+    sides = _sides(left, right, shape.dims)
+    return _lhs(amps, shape), _rhs(lam, sides), _verify_stack(m, lam, left, right)
 
 
 def _check_dim(d: int) -> int:
@@ -383,9 +403,8 @@ def maximize_rhs(
             f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
         )
     shape = s.state.shape
-    lam, left, right = _schmidt_stack(_arranged(s.state.amplitudes[None], shape, ADDITIVITY_SPLIT))
-    k = int(np.count_nonzero(lam[0]))
-    lam, left, right = lam[0, :k], left[0, :, :k], right[0, :, :k]
+    lam, left, right = _schmidt_arrays(s.state, ADDITIVITY_SPLIT)
+    k = lam.size
     wide_blocks = [b for b in degenerate_blocks(lam) if len(b) > 1]
     if not wide_blocks:
         dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)

@@ -1,6 +1,10 @@
 """Seeded Haar-random states and unitaries, and deterministic scans that
 evaluate the inequality over many random four-factor states.
 
+``scan`` draws the states and records the error rows.  The stacked
+evaluation of the SVD route lives in :mod:`bnineq.inequality`, beside
+``bn_gap``, as ``_svd_gaps``.
+
 Reproducibility contract: every random draw comes from a
 ``numpy.random.default_rng`` with a fixed seed.  ``haar_state`` and
 ``haar_unitary`` seed it with their ``seed`` (mod 2^64); scan sample i
@@ -18,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequality import ADDITIVITY_SPLIT, FourFactorState, _lhs, _rhs, _sides, _unreproduced, bn_gap
-from .schmidt import _arranged, _haar_unitaries, _schmidt_stack, _verify_stack, schmidt_decompose
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, _svd_gaps, _unreproduced, bn_gap
+from .schmidt import _haar_unitaries, schmidt_decompose
 from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int
 from .tolerances import (
     MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
 )
+
+__all__ = ["derive_seed", "haar_state", "haar_unitary", "SampleRecord", "ScanReport", "scan"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,8 +151,10 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     of more than ``MAX_SCAN_AMPLITUDES`` amplitudes in all is refused
     before anything is drawn.
 
-    Stacks of at most ``STACK_ELEMENTS`` amplitudes run the kernels
-    of :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
+    The scan draws the states and records the error rows.  Each stack of
+    at most ``STACK_ELEMENTS`` amplitudes is evaluated by
+    ``inequality._svd_gaps``, beside :func:`bn_gap`: the kernels of
+    :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
     and ``bn_rhs``, so each row equals the single-state evaluation.  A
     stack that raises a numerical error is redone one sample at a time
     as :func:`bn_gap` over :func:`schmidt_decompose`, the route of
@@ -175,12 +183,8 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         stop = min(start + chunk, n_samples)
         states = [haar_state(shape, seed) for seed in seeds[start:stop].tolist()]
         amps = np.stack([psi.amplitudes for psi in states])
-        m = _arranged(amps, shape, ADDITIVITY_SPLIT)
         try:
-            lam, left, right = _schmidt_stack(m)
-            lhs[start:stop] = _lhs(amps, shape)
-            rhs[start:stop] = _rhs(lam, _sides(left, right, shape.dims))
-            score[start:stop] = _verify_stack(m, lam, left, right)
+            lhs[start:stop], rhs[start:stop], score[start:stop] = _svd_gaps(amps, shape)
         except NumericalError:
             for i, psi in enumerate(states, start):
                 try:

@@ -21,6 +21,11 @@ from . import spectra
 from .tensor import FactorShape, InputError, PureState, _as_int, _descending, _positions
 from .tolerances import MATRIX_ATOL, RESIDUAL_TOL
 
+__all__ = [
+    "BipartiteSplit", "SchmidtDecomposition", "schmidt_decompose", "verify_decomposition",
+    "degenerate_blocks",
+]
+
 
 @dataclass(frozen=True)
 class BipartiteSplit:
@@ -129,6 +134,14 @@ def _schmidt_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(keep, s**2, 0.0), u, np.conj(v)
 
 
+def _schmidt_arrays(psi: PureState, split: BipartiteSplit) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`schmidt_decompose`: coefficients (k,), left
+    (D_L, k) and right (D_R, k) vectors, cut at the numerical rank k."""
+    lam, left, right = _schmidt_stack(_arranged(psi.amplitudes[None], psi.shape, split))
+    k = int(np.count_nonzero(lam[0]))
+    return lam[0, :k], left[0, :, :k], right[0, :, :k]
+
+
 def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across ``split`` via SVD.
 
@@ -141,9 +154,7 @@ def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposi
     identity, i.e. they are the conjugated right-singular vectors.
     """
     _check_split(psi.shape, split)
-    lam, left, right = _schmidt_stack(_arranged(psi.amplitudes[None], psi.shape, split))
-    k = int(np.count_nonzero(lam[0]))
-    return SchmidtDecomposition(split, lam[0, :k], left[0, :, :k], right[0, :, :k], psi.shape)
+    return SchmidtDecomposition(split, *_schmidt_arrays(psi, split), psi.shape)
 
 
 def _family_violation(vectors: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ import numpy as np
 from .tensor import DensityMatrix, InputError, NumericalError, _descending, _hermitian, _lapack
 from .tolerances import MATRIX_ATOL
 
+__all__ = ["Spectrum", "hermitian_eigen", "von_neumann_entropy"]
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:

@@ -34,6 +34,11 @@ import numpy as np
 
 from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
 
+__all__ = [
+    "InputError", "NumericalError", "FactorShape", "PureState", "DensityMatrix",
+    "partial_trace", "partial_trace_naive", "state_to_document", "save_state", "load_state",
+]
+
 
 class InputError(ValueError):
     """Invalid argument, malformed file, or violated precondition; the CLI

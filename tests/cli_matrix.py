@@ -19,10 +19,10 @@ then compare with one ``diff -r``::
 
 The list covers every subcommand in both formats and both log bases,
 ``maximize`` with and without degenerate freedom, with an ascent that
-stalls and on near-ties that are not a block, a scan of more than one
-stack of samples, the exit-2 refusals, and a state path that a CSV cell
-must quote.  The file has no ``test_`` prefix, so pytest does not
-collect it.
+stalls and on near-ties that are not a block, scans of more than one
+stack of samples at d = 2 and d = 4, the exit-2 refusals, and a state
+path that a CSV cell must quote.  The file has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -87,14 +87,18 @@ REPORTS = {
     "deform-eps-1e-9": ["deform", "--dim", "2", "--eps", "1e-9"],
 }
 
-#: Every run, by name: the reports above, then the refusals (exit 2) and
-#: the help texts (exit 0).
+#: Every run, by name: the reports above, one long scan in one format,
+#: then the refusals (exit 2) and the help texts (exit 0).
 RUNS = {
     f"{name}-{fmt}-{base}": [*argv, "--format", fmt, "--log-base", base]
     for name, argv in REPORTS.items()
     for fmt in ("json", "csv")
     for base in ("e", "2")
 } | {
+    # one stack of 4,096 samples at d = 2 and part of a second
+    "scan-d2-chunks-csv": [
+        "scan", "--dim", "2", "--samples", "4100", "--seed", "7", "--format", "csv",
+    ],
     "maximize-no-source": ["maximize"],
     "maximize-both-sources": ["maximize", "--input", "states/canon.json", "--dim", "2"],
     "maximize-d31": ["maximize", "--dim", "31"],

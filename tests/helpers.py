@@ -43,3 +43,10 @@ def tilted_product_state(d: int, eps: float) -> PureState:
     basis whose coefficients are near-ties for small eps."""
     lam = deformed_counterexample(d, eps)[1].coefficients
     return PureState(FactorShape((d,) * 4), np.diag(np.sqrt(lam)))
+
+
+def page_entropy(m: int, n: int) -> float:
+    """Mean entanglement entropy of a Haar-random state on C^m (x) C^n, in
+    either order (Page, PRL 71, 1291, 1993)."""
+    m, n = sorted((m, n))
+    return sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)

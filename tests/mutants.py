@@ -301,6 +301,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the scan's stacked verification arranged across Alice | Bob: wrong at every state",
+        "inequality",
+        "_verify_stack(m, lam, left, right)",
+        "_verify_stack(_arranged(amps, shape, _PARTY_SPLIT), lam, left, right)",
+        ("tests/test_sampling.py::test_scan_single_sample_matches_direct_evaluation",),
+    ),
+    Mutant(
         "the scan's one-sample route lets the gate's refusal escape: wrong once bn_gap refuses",
         "sampling",
         "except (NumericalError, InputError) as exc:",

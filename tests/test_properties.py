@@ -27,7 +27,7 @@ from bnineq import (
 )
 from bnineq.inequality import _rhs_ascent, _rotated, _sides
 from bnineq.tolerances import RESIDUAL_TOL
-from helpers import apply_freedom, block_gap
+from helpers import apply_freedom, block_gap, page_entropy
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -169,11 +169,6 @@ def test_mixing_inside_the_blocks_stays_within_half_the_gate(seed, dims, cluster
     assert verify_decomposition(psi, apply_freedom(dec, w)) <= RESIDUAL_TOL / 2 + 1e-14
 
 
-def page_mean(m: int, n: int) -> float:
-    """Page's mean entanglement entropy of a Haar state on C^m (x) C^n, m <= n."""
-    return sum(1.0 / j for j in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
-
-
 @pytest.mark.parametrize("d, n", [(2, 1000), (3, 300)])
 def test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean(d, n):
     # psi_t ~ psi_can + t phi with unique Schmidt form: as t -> 0 both of its
@@ -188,5 +183,5 @@ def test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean(d, 
         s = FourFactorState(PureState.normalized(canonical.shape, amps))
         gaps[i] = bn_gap(s, schmidt_decompose(s.state, ADDITIVITY_SPLIT)).gap
     error = gaps.std(ddof=1) / math.sqrt(n)
-    assert abs(gaps.mean() + 2.0 * page_mean(d, d)) <= 4.0 * error
+    assert abs(gaps.mean() + 2.0 * page_entropy(d, d)) <= 4.0 * error
     assert gaps.max() < 0.0

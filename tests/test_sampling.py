@@ -16,6 +16,7 @@ from bnineq import (
 )
 from bnineq.sampling import _haar_unitaries
 from bnineq.tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS
+from helpers import page_entropy
 
 Q4 = FactorShape((2, 2, 2, 2))
 
@@ -141,9 +142,10 @@ def test_haar_unitary_entry_statistics():
 
 
 def test_scan_single_sample_matches_direct_evaluation():
-    # The batched scan runs the kernels of bn_lhs, bn_rhs and bn_gap, so
-    # every row equals the direct evaluation exactly.  The last case holds
-    # one sample more than a stack, so the scan evaluates two stacks.
+    # The scan evaluates each stack with the kernels of bn_gap over
+    # schmidt_decompose, so every row equals the direct evaluation
+    # exactly.  The last case holds one sample more than a stack, so the
+    # scan evaluates two stacks.
     cases = [((2, 2, 2, 2), 1), ((2, 2, 2, 2), 6), ((2, 3, 2, 3), 6), ((3, 2, 3, 2), 6)]
     cases += [((2, 3, 4, 2), 6), ((4, 4, 4, 4), STACK_ELEMENTS // 4**4 + 1)]
     for dims, n_samples in cases:
@@ -183,14 +185,14 @@ def test_scan_records_samples_that_fail_the_residual_gate(monkeypatch):
     # each aggregate shows whether they were left out.
     low, high = int(np.argmin(clean.gap)), int(np.argmax(clean.gap))
     assert clean.gap[low] < -1e-9
-    verify = bnineq.sampling._verify_stack
+    verify = bnineq.inequality._verify_stack
 
     def scores(*args):
         score = verify(*args)  # one stack holds all 20 samples
         score[[low, high]] = 1e-6, np.nan
         return score
 
-    monkeypatch.setattr(bnineq.sampling, "_verify_stack", scores)
+    monkeypatch.setattr(bnineq.inequality, "_verify_stack", scores)
     report = scan(20, Q4, 3)
     assert sorted(report.errors) == sorted([low, high])
     assert all("verification score" in m for m in report.errors.values())
@@ -210,16 +212,16 @@ def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
     # route, whose gate refuses sample 3 with the text a stacked row gets.
     clean = scan(20, Q4, 3)
     third = haar_state(Q4, derive_seed(3, 3)).amplitudes
-    verify = bnineq.sampling._verify_stack
+    verify = bnineq.inequality._verify_stack
 
     def stack_scores(*args):
         score = verify(*args)
         score[3] = 1e-6
         return score
 
-    monkeypatch.setattr(bnineq.sampling, "_verify_stack", stack_scores)
+    monkeypatch.setattr(bnineq.inequality, "_verify_stack", stack_scores)
     stacked = scan(20, Q4, 3).errors[3]
-    monkeypatch.setattr(bnineq.sampling, "_verify_stack", verify)
+    monkeypatch.setattr(bnineq.inequality, "_verify_stack", verify)
     verify_one = bnineq.inequality.verify_decomposition
 
     def scores(psi, dec):
@@ -234,13 +236,6 @@ def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
     for name in ("lhs", "rhs", "gap"):
         assert np.all(np.isnan(getattr(report, name)[~keep]))
         assert np.array_equal(getattr(report, name)[keep], getattr(clean, name)[keep])
-
-
-def page_entropy(m, n):
-    """Mean entanglement entropy of a Haar-random state on C^m (x) C^n
-    (Page, PRL 71, 1291, 1993)."""
-    m, n = sorted((m, n))
-    return sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,35 @@ def test_every_exported_name_exists():
     assert [name for name in bnineq.__all__ if not hasattr(bnineq, name)] == []
 
 
+#: The modules whose ``__all__`` the package re-exports, in that order.
+EXPORTING = ("tensor", "spectra", "schmidt", "inequality", "sampling")
+
+
+def test_every_public_name_is_listed_once_where_it_is_defined():
+    listed = []
+    for stem in EXPORTING:
+        defined, imported, names = set(), set(), None
+        for node in parse(SOURCE / f"{stem}.py").body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                defined.update(targets)
+                if targets == ["__all__"]:
+                    names = ast.literal_eval(node.value)
+        assert names is not None, f"{stem} has no __all__ list"
+        assert [n for n in names if n not in defined or n in imported] == [], stem
+        assert names == getattr(bnineq, stem).__all__
+        listed += names
+    assert bnineq.__all__ == listed
+    assert len(set(listed)) == len(listed)
+    # ``__init__`` spells no public name: it only gathers the lists.
+    init = ast.walk(parse(SOURCE / "__init__.py"))
+    assert [n.value for n in init if isinstance(n, ast.Constant) and n.value in listed] == []
+
+
 def test_every_tolerance_is_read_by_another_module():
     tree = parse(SOURCE / "tolerances.py")
     constants = {
