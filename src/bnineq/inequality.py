@@ -64,6 +64,8 @@ class FourFactorState:
     state: PureState
 
     def __post_init__(self) -> None:
+        if not isinstance(self.state, PureState):
+            raise InputError(f"expected a PureState, got {type(self.state).__name__}")
         if self.state.shape.n_factors != 4:
             raise InputError(
                 f"expected a 4-factor state, got {self.state.shape.n_factors} factors"
@@ -147,10 +149,14 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
     return float(_rhs(dec.coefficients, sides)[0])
 
 
-def _unreproduced(score: float) -> str:
-    """The residual gate's refusal, for ``bn_gap`` and ``scan`` alike."""
-    gate = f"verification score {score:.3e} > {RESIDUAL_TOL}"
-    return f"decomposition does not reproduce the state ({gate})"
+def _refusal(score: float) -> str | None:
+    """The residual gate: None for a verification score of at most
+    ``RESIDUAL_TOL``, else the refusal text (a NaN score is refused).  The
+    one place that applies the gate, for :func:`bn_gap` and :func:`_svd_gaps`."""
+    if not score <= RESIDUAL_TOL:
+        gate = f"verification score {score:.3e} > {RESIDUAL_TOL}"
+        return f"decomposition does not reproduce the state ({gate})"
+    return None
 
 
 def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom") -> GapReport:
@@ -161,23 +167,27 @@ def bn_gap(s: FourFactorState, dec: SchmidtDecomposition, source: str = "custom"
     :class:`InputError` is raised.
     """
     score = verify_decomposition(s.state, dec)
-    if not (score <= RESIDUAL_TOL):
-        raise InputError(_unreproduced(score))
+    if refusal := _refusal(score):
+        raise InputError(refusal)
     lhs = bn_lhs(s)
     rhs = bn_rhs(dec)
     return GapReport(lhs, rhs, lhs - rhs, score, source)
 
 
-def _svd_gaps(amps: np.ndarray, shape: FactorShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lhs, rhs and verification score of each state in a stack (n, D) of
-    amplitude vectors with its SVD decomposition across ``ADDITIVITY_SPLIT``:
-    the kernels of :func:`bn_gap` over :func:`schmidt_decompose`, one call
-    each for the whole stack, so each row equals that evaluation.  The
-    residual gate is left to the caller."""
+def _svd_gaps(amps: np.ndarray, shape: FactorShape) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """lhs and rhs of each state in a stack (n, D) of amplitude vectors with
+    its SVD decomposition across ``ADDITIVITY_SPLIT``, and the residual
+    gate's refusal of each row that it refuses, by row: the kernels of
+    :func:`bn_gap` over :func:`schmidt_decompose`, one call each for the
+    whole stack, so each row equals that evaluation, refusal included.  A
+    refused row's lhs and rhs are NaN."""
     m = _arranged(amps, shape, ADDITIVITY_SPLIT)
     lam, left, right = _schmidt_stack(m)
-    sides = _sides(left, right, shape.dims)
-    return _lhs(amps, shape), _rhs(lam, sides), _verify_stack(m, lam, left, right)
+    lhs, rhs = _lhs(amps, shape), _rhs(lam, _sides(left, right, shape.dims))
+    scores = _verify_stack(m, lam, left, right).tolist()
+    refused = {i: text for i, score in enumerate(scores) if (text := _refusal(score))}
+    lhs[list(refused)] = rhs[list(refused)] = np.nan
+    return lhs, rhs, refused
 
 
 def _check_dim(d: int) -> int:

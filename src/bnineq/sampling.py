@@ -1,9 +1,10 @@
 """Seeded Haar-random states and unitaries, and deterministic scans that
 evaluate the inequality over many random four-factor states.
 
-``scan`` draws the states and records the error rows.  The stacked
-evaluation of the SVD route lives in :mod:`bnineq.inequality`, beside
-``bn_gap``, as ``_svd_gaps``.
+``scan`` only draws the states and records the error rows.  The stacked
+evaluation of the SVD route and the residual gate both live in
+:mod:`bnineq.inequality`, beside ``bn_gap``: ``_svd_gaps`` returns each
+row's refusal, and the scan records it.
 
 Reproducibility contract: every random draw comes from a
 ``numpy.random.default_rng`` with a fixed seed.  ``haar_state`` and
@@ -22,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequality import ADDITIVITY_SPLIT, FourFactorState, _svd_gaps, _unreproduced, bn_gap
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, _svd_gaps, bn_gap
 from .schmidt import _haar_unitaries, schmidt_decompose
 from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int
-from .tolerances import (
-    MAX_SCAN_AMPLITUDES, RESIDUAL_TOL, STACK_ELEMENTS, VIOLATION_THRESHOLD,
-)
+from .tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS, VIOLATION_THRESHOLD
 
 __all__ = ["derive_seed", "haar_state", "haar_unitary", "SampleRecord", "ScanReport", "scan"]
 
@@ -151,15 +150,17 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     of more than ``MAX_SCAN_AMPLITUDES`` amplitudes in all is refused
     before anything is drawn.
 
-    The scan draws the states and records the error rows.  Each stack of
-    at most ``STACK_ELEMENTS`` amplitudes is evaluated by
-    ``inequality._svd_gaps``, beside :func:`bn_gap`: the kernels of
-    :func:`schmidt_decompose`, :func:`verify_decomposition`, ``bn_lhs``
-    and ``bn_rhs``, so each row equals the single-state evaluation.  A
-    stack that raises a numerical error is redone one sample at a time
-    as :func:`bn_gap` over :func:`schmidt_decompose`, the route of
-    ``bnineq check``: a sample that fails there keeps the error's text,
-    or the gate's refusal, as its message.
+    The scan only draws the states and records the error rows; it applies
+    no gate of its own.  Each stack of at most ``STACK_ELEMENTS``
+    amplitudes is evaluated by ``inequality._svd_gaps``, beside
+    :func:`bn_gap`: the kernels of :func:`schmidt_decompose`,
+    :func:`verify_decomposition`, ``bn_lhs`` and ``bn_rhs`` and the
+    residual gate of ``bn_gap``, so each row equals the single-state
+    evaluation, refusal included.  A stack that raises a numerical error
+    is redone one sample at a time as :func:`bn_gap` over
+    :func:`schmidt_decompose`, the route of ``bnineq check``: a sample
+    that fails there keeps the error's text, or the gate's refusal, as
+    its message.
 
     Note what the aggregate shows: with the SVD decomposition one Haar
     state in about 15 violates the inequality at d = 2 (68 of 1000, seed
@@ -176,7 +177,7 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         )
     seeds = _splitmix64(master_seed, np.arange(n_samples, dtype=np.uint64))
     seeds.setflags(write=False)
-    lhs, rhs, score = np.full((3, n_samples), np.nan)
+    lhs, rhs = np.full((2, n_samples), np.nan)
     errors: dict[int, str] = {}
     chunk = max(1, STACK_ELEMENTS // shape.total_dimension)
     for start in range(0, n_samples, chunk):
@@ -184,18 +185,13 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         states = [haar_state(shape, seed) for seed in seeds[start:stop].tolist()]
         amps = np.stack([psi.amplitudes for psi in states])
         try:
-            lhs[start:stop], rhs[start:stop], score[start:stop] = _svd_gaps(amps, shape)
+            lhs[start:stop], rhs[start:stop], refused = _svd_gaps(amps, shape)
+            errors.update((start + i, text) for i, text in refused.items())
         except NumericalError:
             for i, psi in enumerate(states, start):
                 try:
                     report = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
-                    lhs[i], rhs[i], score[i] = report.lhs, report.rhs, report.residual
+                    lhs[i], rhs[i] = report.lhs, report.rhs
                 except (NumericalError, InputError) as exc:
                     errors[i] = str(exc)
-    for i in np.flatnonzero(~(score <= RESIDUAL_TOL)).tolist():
-        errors.setdefault(i, _unreproduced(score[i]))
-    bad = list(errors)
-    lhs[bad] = rhs[bad] = np.nan
-    return ScanReport(
-        shape, master_seed, seeds, lhs, rhs, lhs - rhs, dict(sorted(errors.items()))
-    )
+    return ScanReport(shape, master_seed, seeds, lhs, rhs, lhs - rhs, errors)

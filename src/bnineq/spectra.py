@@ -74,9 +74,8 @@ def _shannon(p: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"eigenvalue {lowest:.3e} below -{MATRIX_ATOL}; refusing to clip it silently"
         )
-    positive = p > 0.0
-    p = np.where(positive, p, 0.0)
-    return np.maximum(-(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1), 0.0)
+    q = np.where(p > 0.0, p, 1.0)  # a clipped term enters as 1 ln 1 = 0
+    return np.maximum(-(q * np.log(q)).sum(axis=-1), 0.0)
 
 
 def entropy_from_eigenvalues(values) -> float:

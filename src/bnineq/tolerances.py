@@ -66,9 +66,11 @@ STATE_FILE_NORM_ATOL = 1e-9
 MATRIX_ATOL = 1e-10
 
 #: A decomposition reproduces its state when its verify_decomposition
-#: score is at most this: bn_gap rejects one that scores more, and scan
-#: records such a sample as an error row.  It also sets which Schmidt
-#: coefficients count as degenerate (relation 2 above).
+#: score is at most this.  One helper, inequality._refusal, applies the
+#: gate, both for bn_gap, which rejects a decomposition that scores more,
+#: and for the scan's stacked rows, which scan only records as error rows.
+#: It also sets which Schmidt coefficients count as degenerate (relation 2
+#: above).
 RESIDUAL_TOL = 1e-9
 
 #: Stacked evaluations hold at most this many complex entries per stack

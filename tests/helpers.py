@@ -50,3 +50,8 @@ def page_entropy(m: int, n: int) -> float:
     either order (Page, PRL 71, 1291, 1993)."""
     m, n = sorted((m, n))
     return sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
+
+
+def shape_id(dims) -> str:
+    """A test id for a shape: (2, 3, 2, 3) as "2x3x2x3"."""
+    return "x".join(str(d) for d in dims)

@@ -113,8 +113,8 @@ MUTANTS = (
     Mutant(
         "Shannon sum not clamped at 0: wrong at the spectrum (1 + eps,)",
         "spectra",
-        "return np.maximum(-(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1), 0.0)",
-        "return -(p * np.log(np.where(positive, p, 1.0))).sum(axis=-1)",
+        "return np.maximum(-(q * np.log(q)).sum(axis=-1), 0.0)",
+        "return -(q * np.log(q)).sum(axis=-1)",
         ("tests/test_spectra.py::test_entropy_clipping_policy",),
     ),
     Mutant(
@@ -228,8 +228,8 @@ MUTANTS = (
     Mutant(
         "Shannon sum in bits, not nats: wrong at every mixed spectrum",
         "spectra",
-        "np.log(np.where(positive, p, 1.0))",
-        "np.log2(np.where(positive, p, 1.0))",
+        "(q * np.log(q))",
+        "(q * np.log2(q))",
         (
             "tests/test_properties.py::test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean[2-1000]",
             "tests/test_properties.py::test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean[3-300]",
@@ -315,13 +315,13 @@ MUTANTS = (
         ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",),
     ),
     Mutant(
-        "the scan's gate overwrites a numerical failure's message: wrong at a failed SVD",
-        "sampling",
-        "errors.setdefault(i, _unreproduced(score[i]))",
-        "errors[i] = _unreproduced(score[i])",
+        "the residual gate lets a NaN score through: wrong at a NaN score",
+        "inequality",
+        "if not score <= RESIDUAL_TOL:",
+        "if score > RESIDUAL_TOL:",
         (
-            "tests/test_sampling.py::test_scan_isolates_a_failing_sample_in_its_stack",
-            "tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",
+            "tests/test_sampling.py::test_scan_records_samples_that_fail_the_residual_gate",
+            "tests/test_inequality.py::test_gap_refuses_a_nan_verification_score",
         ),
     ),
     Mutant(

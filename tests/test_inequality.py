@@ -36,7 +36,7 @@ from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
 from bnineq.sampling import _haar_unitaries
 from bnineq.spectra import entanglement_entropy_grad
 from bnineq.tolerances import GRAD_TOL, RESIDUAL_TOL, STACK_ELEMENTS, START_TIE_TOL
-from helpers import apply_freedom, basis_state, kron_state, tilted_product_state
+from helpers import apply_freedom, basis_state, kron_state, shape_id, tilted_product_state
 
 TWO_LN_TWO = 1.3862943611198906
 TWO_LN_THREE = 2.1972245773362196
@@ -91,8 +91,9 @@ def test_constructions_refuse_a_dim_past_the_size_limit():
 
 
 def test_four_factor_state_requires_four_factors():
-    with pytest.raises(InputError):
-        FourFactorState(haar_state(FactorShape((2, 2, 2)), 3))
+    for state in (haar_state(FactorShape((2, 2, 2)), 3), np.zeros(16), "x", None):
+        with pytest.raises(InputError):
+            FourFactorState(state)
 
 
 # --------------------------------------------------------------- bell basis
@@ -189,10 +190,6 @@ def test_lhs_of_product_state_vanishes():
 ORACLE_SHAPES = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 3), (2, 3, 4, 2), (2, 3, 3, 2), (2, 2, 3, 3)]
 
 
-def shape_id(dims):
-    return "x".join(str(d) for d in dims)
-
-
 @pytest.mark.parametrize("dims", ORACLE_SHAPES, ids=shape_id)
 def test_lhs_cross_checked_against_naive_oracle(dims):
     for seed in range(5):
@@ -286,6 +283,14 @@ def test_gap_requires_matching_decomposition():
     _, other = deformed_counterexample(2, 0.2)
     with pytest.raises(InputError):
         bn_gap(s, other)
+
+
+def test_gap_refuses_a_nan_verification_score(monkeypatch):
+    # NaN compares false with everything, so a gate written as
+    # ``score > RESIDUAL_TOL`` would let it through.
+    monkeypatch.setattr(inequality, "verify_decomposition", lambda psi, dec: float("nan"))
+    with pytest.raises(InputError, match=r"verification score nan > 1e-09"):
+        bn_gap(canonical_counterexample(2), entangled_decomposition(2))
 
 
 def test_gap_on_random_state_with_svd_decomposition():

@@ -22,12 +22,14 @@ from bnineq import (
     haar_state,
     haar_unitary,
     maximize_rhs,
+    partial_trace,
     schmidt_decompose,
     verify_decomposition,
+    von_neumann_entropy,
 )
 from bnineq.inequality import _rhs_ascent, _rotated, _sides
 from bnineq.tolerances import RESIDUAL_TOL
-from helpers import apply_freedom, block_gap, page_entropy
+from helpers import apply_freedom, block_gap, page_entropy, shape_id
 
 TWO_LN_TWO = 1.3862943611198906
 
@@ -185,3 +187,74 @@ def test_small_perturbations_of_the_canonical_state_violate_by_the_page_mean(d, 
     error = gaps.std(ddof=1) / math.sqrt(n)
     assert abs(gaps.mean() + 2.0 * page_entropy(d, d)) <= 4.0 * error
     assert gaps.max() < 0.0
+
+
+# ------------------------------------------------------- theorem oracles
+# Three facts that hold for every Schmidt decomposition, so the package
+# must never report a violation, or an rhs, beyond them.
+
+
+def flat_state(dims, seed):
+    """A state of Schmidt rank k = min(d1 d2, d3 d4) across {1,2} | {3,4},
+    coefficients all 1/k, on Haar-random bases of both sides: every
+    decomposition is in one degenerate block, so maximize_rhs searches."""
+    d1, d2, d3, d4 = dims
+    k = min(d1 * d2, d3 * d4)
+    left = haar_unitary(d1 * d2, derive_seed(seed, 1))[:, :k]
+    right = haar_unitary(d3 * d4, derive_seed(seed, 2))[:, :k]
+    return FourFactorState(PureState(FactorShape(dims), left @ right.T / math.sqrt(k)))
+
+
+def marginal_bound(psi):
+    """R* = min(S(rho_1), S(rho_2)) + min(S(rho_3), S(rho_4)), the marginals
+    taken by partial_trace and von_neumann_entropy, not by the rhs kernel."""
+    s1, s2, s3, s4 = (von_neumann_entropy(partial_trace(psi, (i,))) for i in (1, 2, 3, 4))
+    return min(s1, s2) + min(s3, s4)
+
+
+def searched(s, seed):
+    """maximize_rhs's report on ``s`` at a small budget."""
+    return maximize_rhs(s, restarts=3, sweeps=40, seed=seed)[1]
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 1, 2), (2, 2, 2, 1)], ids=shape_id
+)
+def test_a_trivial_factor_forbids_a_violation(dims):
+    # Take d1 = 1: each l_a is pure on factor 2, so rhs = sum_a lam_a
+    # S(sigma_a), sigma_a the factor-3 marginal of r_a.  Tracing {1, 2}
+    # kills the cross terms, so rho_3 = sum_a lam_a sigma_a and lhs =
+    # S(rho_3) >= rhs by concavity.  The other positions follow alike.
+    for seed in range(3):
+        s = flat_state(dims, seed)
+        assert bn_gap(s, schmidt_decompose(s.state, ADDITIVITY_SPLIT)).gap >= -1e-12
+        assert searched(s, seed).gap >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 4), (1, 3, 2, 2)], ids=shape_id
+)
+def test_schmidt_rank_one_has_gap_zero(dims):
+    # psi = l (x) r gives rho_13 = rho_1 (x) rho_3, so lhs = S(rho_1) +
+    # S(rho_3), which is the rhs of the one-term decomposition.
+    d1, d2, d3, d4 = dims
+    for seed in range(3):
+        left = haar_state(FactorShape((d1, d2)), derive_seed(seed, 1)).amplitudes
+        right = haar_state(FactorShape((d3, d4)), derive_seed(seed, 2)).amplitudes
+        s = FourFactorState(PureState(FactorShape(dims), np.outer(left, right)))
+        assert abs(bn_gap(s, schmidt_decompose(s.state, ADDITIVITY_SPLIT)).gap) <= 1e-12
+        assert abs(searched(s, seed).gap) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 3), (2, 2, 3, 3), (1, 2, 2, 2)], ids=shape_id
+)
+def test_every_rhs_stays_below_the_marginal_bound(dims):
+    # By concavity sum_a lam_a S(tr_2 l_a) <= S(rho_1), and as each l_a is
+    # pure also <= S(rho_2); likewise on (3, 4).  So rhs <= R* for every
+    # decomposition, the SVD one of a Haar state and every searched one.
+    for seed in range(3):
+        s = FourFactorState(haar_state(FactorShape(dims), derive_seed(seed, 3)))
+        assert svd_rhs(s) <= marginal_bound(s.state) + 1e-12
+        flat = flat_state(dims, seed)
+        assert searched(flat, seed).rhs <= marginal_bound(flat.state) + 1e-12
