@@ -35,7 +35,7 @@ from .schmidt import (
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
-from .tensor import FactorShape, InputError, PureState, _as_int
+from .tensor import FactorShape, InputError, PureState, _as_int, _lapack
 from .tolerances import (
     GRAD_TOL,
     MAX_SEARCH_WORK,
@@ -339,7 +339,7 @@ def _ascend(
         # by less than roundoff means no ascent is possible from here.
         while step * math.sqrt(norm2) > 1e-15:
             half = 0.5 * step * grad
-            trial = _rotated(sides, np.linalg.solve(eye - half, eye + half))
+            trial = _rotated(sides, _lapack("solve", eye - half, eye + half))
             t_value, t_grad = _rhs_ascent(lam, trial, mask)
             if t_value >= value + 1e-4 * step * norm2:
                 break
@@ -395,11 +395,13 @@ def maximize_rhs(
     Every accepted step ascends, so the result is never worse than the
     SVD start.  The blocks are those of :func:`degenerate_blocks`, so every
     W moves the decomposition by at most half of ``RESIDUAL_TOL`` and the
-    result passes :func:`bn_gap`.  States with no degenerate block have no
-    freedom and come back unchanged.  The report's source tag is
-    "rotated" when any freedom was explored and "svd" otherwise; its
-    descriptor records the accepted steps and the stop reason, and
-    ``initial_rhs`` is the SVD start's rhs.
+    result passes :func:`bn_gap`.  A state with no degenerate block takes
+    the same path with the SVD start as its only start and no draw; its
+    gradient is masked to exactly 0, so the ascent stops at once with no
+    step, and the state comes back unchanged, tagged "svd" with the
+    descriptor "no degenerate freedom".  Otherwise the tag is "rotated" and
+    the descriptor records the restarts, the accepted steps and the stop
+    reason.  ``initial_rhs`` is the SVD start's rhs in both cases.
     A search over ``MAX_SEARCH_WORK`` raises :class:`InputError` up front.
     """
     restarts, sweeps = _as_int(restarts, "restarts", 0), _as_int(sweeps, "sweeps", 0)
@@ -416,22 +418,20 @@ def maximize_rhs(
     lam, left, right = _schmidt_arrays(s.state, ADDITIVITY_SPLIT)
     k = lam.size
     wide_blocks = [b for b in degenerate_blocks(lam) if len(b) > 1]
-    if not wide_blocks:
-        dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
-        report = bn_gap(s, dec, source="svd")
-        return dec, replace(report, state_descriptor="no degenerate freedom", initial_rhs=report.rhs)
     mask = np.zeros((k, k), dtype=bool)
     for b in wide_blocks:
         mask[b[0]:b[-1] + 1, b[0]:b[-1] + 1] = True
 
-    # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r.
-    # Every start is scored by value only; a later start wins only by more
-    # than START_TIE_TOL, so starts equal up to roundoff go to the lowest index.
+    # Stack index 0 is the SVD start (W = 1) and index r + 1 is restart r;
+    # without a wide block the SVD start is the only one.  Every start is
+    # scored by value only; a later start wins only by more than
+    # START_TIE_TOL, so starts equal up to roundoff go to the lowest index.
     sides = _sides(left, right, dims)
     rngs = [np.random.default_rng([seed % 2**64, bi]) for bi in range(len(wide_blocks))]
+    starts = restarts + 1 if wide_blocks else 1
     chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
-    for start in range(0, restarts + 1, chunk):
-        w = np.tile(np.eye(k, dtype=np.complex128), (min(chunk, restarts + 1 - start), 1, 1))
+    for start in range(0, starts, chunk):
+        w = np.tile(np.eye(k, dtype=np.complex128), (min(chunk, starts - start), 1, 1))
         drawn = w[1:] if start == 0 else w
         for rng, b in zip(rngs, wide_blocks):
             drawn[:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), rng, len(drawn))
@@ -445,6 +445,7 @@ def maximize_rhs(
     left = sides[:k, :d1, :d2].reshape(k, -1).T
     right = sides[k:, :d3, :d4].reshape(k, -1).T
     best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
-    descriptor = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
-    report = bn_gap(s, best_dec, source="rotated")
+    search = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
+    source, descriptor = ("rotated", search) if wide_blocks else ("svd", "no degenerate freedom")
+    report = bn_gap(s, best_dec, source=source)
     return best_dec, replace(report, state_descriptor=descriptor, initial_rhs=initial)

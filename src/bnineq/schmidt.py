@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .tensor import FactorShape, InputError, PureState, _as_int, _descending, _positions
+from .tensor import FactorShape, InputError, PureState, _as_int, _descending, _lapack, _positions
 from .tolerances import MATRIX_ATOL, RESIDUAL_TOL
 
 __all__ = [
@@ -226,7 +226,7 @@ def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     n = _as_int(n, "unitary dimension", 1)
     x = rng.standard_normal((count, 2, n, n))
     z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = _lapack("qr", z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))[:, None, :]

@@ -18,8 +18,8 @@ raise them.  Input rules, each written once here, raise :class:`InputError`:
 below ``least``; ``_descending``, non-finite or ascending real vectors;
 ``_hermitian``, non-square, non-finite or non-Hermitian matrices;
 ``_positions``, empty, repeated or out-of-range factor positions.
-``_lapack`` raises :class:`NumericalError` when a LAPACK solver fails to
-converge.
+``_lapack``, the package's only caller of ``numpy.linalg``, raises
+:class:`NumericalError` when a LAPACK routine fails.
 """
 
 from __future__ import annotations
@@ -201,15 +201,18 @@ def permute_factors(psi: PureState, perm) -> PureState:
 
 
 def _lapack(name: str, *args, **kwargs):
-    """``numpy.linalg.<name>(*args, **kwargs)``, with a convergence failure
-    raised as :class:`NumericalError`.  The function is looked up at call
-    time, so a tracer or test that patches ``numpy.linalg`` intercepts it.
-    It lives here so that :class:`DensityMatrix` and :mod:`bnineq.spectra`
-    share it."""
+    """``numpy.linalg.<name>(*args, **kwargs)``, with a ``LinAlgError``
+    raised as :class:`NumericalError`.  It is the only code in the package
+    that calls ``numpy.linalg`` (``tests/test_source.py`` checks this), so
+    every LAPACK failure, of the eigensolvers, the SVD, the QR of
+    :func:`bnineq.schmidt._haar_unitaries` or the Cayley ``solve`` of
+    :func:`bnineq.inequality.maximize_rhs`, exits 3 in the CLI.  The
+    function is looked up at call time, so a tracer or test that patches
+    ``numpy.linalg`` intercepts it."""
     try:
         return getattr(np.linalg, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        what = "SVD" if name == "svd" else "eigensolver"
+        what = {"svd": "SVD", "qr": "QR", "solve": "linear solve"}.get(name, "eigensolver")
         raise NumericalError(f"{what} failed to converge: {exc}") from exc
 
 

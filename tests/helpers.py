@@ -52,6 +52,22 @@ def page_entropy(m: int, n: int) -> float:
     return sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
 
 
+def page_variance(m: int, n: int) -> float:
+    """Variance of that entropy, in either order (Vivo, Pato & Oshanin, PRE
+    93, 052106, 2016; Wei, PRE 96, 022106, 2017), with the trigamma
+    function psi_1(k) = pi^2/6 - sum_{j<k} 1/j^2 at integers k."""
+    m, n = sorted((m, n))
+
+    def trigamma(k):
+        return math.pi**2 / 6 - sum(1.0 / j**2 for j in range(1, k))
+
+    return (
+        (m + n) / (m * n + 1) * trigamma(n)
+        - trigamma(m * n + 1)
+        - (m + 1) * (m + 2 * n + 1) / (4 * n * n * (m * n + 1))
+    )
+
+
 def shape_id(dims) -> str:
     """A test id for a shape: (2, 3, 2, 3) as "2x3x2x3"."""
     return "x".join(str(d) for d in dims)

@@ -349,6 +349,24 @@ MUTANTS = (
         "run_scan",
         ("tests/test_cli.py::test_a_parser_built_under_a_patched_handler_does_not_keep_it",),
     ),
+    Mutant(
+        "restarts + 1 starts scored without a wide block: wrong at deformed_counterexample(3, 0.1)",
+        "inequality",
+        "starts = restarts + 1 if wide_blocks else 1",
+        "starts = restarts + 1",
+        ("tests/test_inequality.py::test_maximize_is_a_noop_without_degeneracy",),
+    ),
+    Mutant(
+        "the Cayley step calls np.linalg.solve directly: wrong on a LinAlgError at maximize --dim 2",
+        "inequality",
+        '_lapack("solve", eye - half, eye + half)',
+        "np.linalg.solve(eye - half, eye + half)",
+        (
+            "tests/test_source.py::test_only_lapack_calls_numpy_linalg",
+            "tests/test_spectra.py::test_lapack_failures_raise_numerical_error[maximize_rhs_solve]",
+            "tests/test_cli.py::test_maximize_exit_3_when_a_lapack_call_fails[solve]",
+        ),
+    ),
 )
 
 

@@ -469,6 +469,22 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
     assert "every sample in the scan failed" in captured.err
 
 
+@pytest.mark.parametrize("name", ["solve", "qr"])
+def test_maximize_exit_3_when_a_lapack_call_fails(capsys, monkeypatch, name):
+    # The Cayley step's solve and the Haar restarts' QR go through the one
+    # LinAlgError -> NumericalError rule, like every other LAPACK call.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    code = main(["maximize", "--dim", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def encoded(doc: dict) -> str:
     """The encoder's text of a scan report, each tuple row turned into its dict."""
     rows = [dict(zip(_SCAN_COLUMNS, row)) for row in doc["samples"]]

@@ -398,19 +398,32 @@ def test_maximize_reports_the_rhs_of_its_svd_start(d, restarts):
         assert report.rhs > initial, seed
 
 
-def test_maximize_is_a_noop_without_degeneracy():
-    state, _ = deformed_counterexample(2, 0.1)
-    initial = bn_rhs(schmidt_decompose(state.state, ADDITIVITY_SPLIT))
-    dec, report = maximize_rhs(state)
-    assert report.initial_rhs == initial
-    assert abs(report.rhs - initial) < 1e-10
-    assert report.decomposition_source == "svd"
-    # the returned vectors match the designated ones up to phase
-    _, designated = deformed_counterexample(2, 0.1)
-    overlaps = np.abs(
-        np.diag(designated.left.conj().T @ dec.left)
-    )
-    assert np.max(np.abs(overlaps - 1.0)) < 1e-8
+def test_maximize_is_a_noop_without_degeneracy(monkeypatch):
+    seen = []  # (kernel, number of matrices it was given) per LAPACK call
+    for name in ("svd", "qr", "solve", "eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            seen.append((_name, int(np.prod(np.shape(a)[:-2]))))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for d in (2, 3):
+        state, designated = deformed_counterexample(d, 0.1)
+        initial = bn_rhs(schmidt_decompose(state.state, ADDITIVITY_SPLIT))
+        seen.clear()
+        dec, report = maximize_rhs(state)
+        assert report.initial_rhs == initial
+        assert abs(report.rhs - initial) < 1e-10
+        assert report.decomposition_source == "svd"
+        assert report.state_descriptor == "no degenerate freedom"
+        # The SVD start is the only start: one SVD, no restart draw (QR), an
+        # ascent that takes no Cayley step (solve), and no eigensolver call
+        # on more than that start's 2k side matrices.
+        names = [name for name, _ in seen]
+        assert names.count("svd") == 1 and "qr" not in names and "solve" not in names
+        assert max(size for _, size in seen) <= 2 * d**2
+        # the returned vectors match the designated ones up to phase
+        overlaps = np.abs(np.diag(designated.left.conj().T @ dec.left))
+        assert np.max(np.abs(overlaps - 1.0)) < 1e-8
 
 
 @pytest.mark.parametrize("d, eps", [(2, 1e-8), (2, 3e-8), (3, 1e-8), (3, 1e-7), (3, 3e-7)])

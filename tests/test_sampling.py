@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from bnineq import (
 )
 from bnineq.sampling import _haar_unitaries
 from bnineq.tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS
-from helpers import page_entropy
+from helpers import page_entropy, page_variance
 
 Q4 = FactorShape((2, 2, 2, 2))
 
@@ -238,29 +240,47 @@ def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
         assert np.array_equal(getattr(report, name)[keep], getattr(clean, name)[keep])
 
 
-@pytest.mark.parametrize(
-    "dims,n_samples,seed",
-    [
-        ((2, 2, 2, 2), 4000, 1),
-        ((2, 3, 2, 3), 2000, 2),
-        ((3, 2, 3, 2), 2000, 3),
-        ((2, 2, 3, 3), 2000, 4),
-        ((3, 3, 3, 3), 600, 5),
-        ((2, 3, 4, 2), 1500, 6),
-    ],
-)
+#: The Haar scans whose lhs and rhs the law tests compare with closed forms.
+LAW_SCANS = [
+    ((2, 2, 2, 2), 4000, 1),
+    ((2, 3, 2, 3), 2000, 2),
+    ((3, 2, 3, 2), 2000, 3),
+    ((2, 2, 3, 3), 2000, 4),
+    ((3, 3, 3, 3), 600, 5),
+    ((2, 3, 4, 2), 1500, 6),
+]
+
+
+@functools.cache
+def law_scan(dims, n_samples, seed):
+    return scan(n_samples, FactorShape(dims), seed)
+
+
+@pytest.mark.parametrize("dims,n_samples,seed", LAW_SCANS)
 def test_scan_means_match_page_formula(dims, n_samples, seed):
     # The lhs is the entanglement entropy across {1,3} | {2,4}.  The SVD
     # Schmidt vectors of a Haar state are Haar-random on their side and
     # independent of the coefficients, so the mean rhs is a sum of two
     # Page entropies.
     d1, d2, d3, d4 = dims
-    report = scan(n_samples, FactorShape(dims), seed)
+    report = law_scan(dims, n_samples, seed)
     lhs = page_entropy(d1 * d3, d2 * d4)
     rhs = page_entropy(d1, d2) + page_entropy(d3, d4)
     for values, expected in ((report.lhs, lhs), (report.rhs, rhs), (report.gap, lhs - rhs)):
         se = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - expected) < 5.0 * se
+
+
+@pytest.mark.parametrize("dims,n_samples,seed", LAW_SCANS)
+def test_scan_lhs_variance_matches_its_closed_form(dims, n_samples, seed):
+    # The lhs is the entropy of a Haar state on C^(d1 d3) (x) C^(d2 d4).  The
+    # standard error of a sample variance v is sqrt((m4 - v^2) / n), with m4
+    # the fourth central moment, so heavy tails widen it.
+    d1, d2, d3, d4 = dims
+    lhs = law_scan(dims, n_samples, seed).lhs
+    v = lhs.var(ddof=1)
+    se = np.sqrt((np.mean((lhs - lhs.mean()) ** 4) - v**2) / lhs.size)
+    assert abs(v - page_variance(d1 * d3, d2 * d4)) < 5.0 * se
 
 
 def test_scan_is_reproducible():

@@ -114,6 +114,28 @@ def test_every_tolerance_is_read_by_another_module():
     assert sorted(constants - read) == []
 
 
+def test_only_lapack_calls_numpy_linalg():
+    # ``tensor._lapack`` turns a LinAlgError into NumericalError, on which the
+    # CLI exits 3; a direct ``np.linalg.<name>(...)`` call would escape that.
+    # ``_lapack`` itself calls ``getattr(np.linalg, name)(...)``, not this form.
+    def linalg(func):
+        return (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "linalg"
+            and isinstance(func.value.value, ast.Name)
+            and func.value.value.id in ("np", "numpy")
+        )
+
+    calls = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and linalg(node.func)
+    ]
+    assert calls == []
+
+
 #: Public names that nothing in the package reads and ``__all__`` leaves
 #: out, each with the file outside the package that still names it.  Once
 #: that file stops naming one, the name is dead and should be deleted.

@@ -17,6 +17,7 @@ from bnineq import (
     haar_state,
     haar_unitary,
     hermitian_eigen,
+    maximize_rhs,
     partial_trace,
     schmidt_decompose,
     von_neumann_entropy,
@@ -394,10 +395,13 @@ def test_entanglement_entropy_of_a_qubit_cut_calls_no_eigensolver(monkeypatch):
             "eigvalsh",
             "eigensolver failed to converge",
         ),
+        # the Cayley step of the ascent, and the QR of the Haar restarts
+        (maximize_rhs, canonical_counterexample(2), "solve", "linear solve failed"),
+        (maximize_rhs, canonical_counterexample(2), "qr", "QR failed"),
     ],
     ids=[
         "svd", "hermitian_eigen", "entanglement_entropy_grad", "von_neumann_entropy",
-        "DensityMatrix", "partial_trace",
+        "DensityMatrix", "partial_trace", "maximize_rhs_solve", "maximize_rhs_qr",
     ],
 )
 def test_lapack_failures_raise_numerical_error(monkeypatch, function, argument, patched, message):
