@@ -7,7 +7,8 @@ the two sides such that ``psi = sum_a sqrt(lambda_a) l_a (x) r_a`` (after
 restoring the original factor order).  When several coefficients coincide
 the decomposition is not unique: the vectors of a degenerate block may be
 mixed by any unitary, with the conjugate unitary applied on the other side.
-``_haar_unitaries`` draws such unitaries for ``maximize_rhs``'s restarts.
+``_haar_unitaries`` draws such unitaries, for ``maximize_rhs``'s restarts
+and for :func:`bnineq.sampling.haar_unitary`.
 """
 
 from __future__ import annotations
@@ -127,11 +128,14 @@ class SchmidtDecomposition:
 def _schmidt_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt forms of a stack (n, D_L, D_R) of state matrices: coefficients
     (n, k), left (n, D_L, k) and right (n, D_R, k) vectors, k = min(D_L, D_R).
+    The left vectors are the columns of the SVD's ``u``; the right ones are
+    the rows of its ``vh``, transposed, i.e. the conjugated right-singular
+    vectors, so that ``m = left @ diag(sqrt(lambda)) @ right.T``.
     Coefficients past the numerical rank (see :func:`schmidt_decompose`)
     are 0; the kept ones exceed eps**2, so a count of nonzeros is the rank."""
-    u, s, v = spectra.svd(m)
+    u, s, vh = spectra.svd(m)
     keep = s > s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps
-    return np.where(keep, s**2, 0.0), u, np.conj(v)
+    return np.where(keep, s**2, 0.0), u, vh.swapaxes(-1, -2)
 
 
 def _schmidt_arrays(psi: PureState, split: BipartiteSplit) -> tuple[np.ndarray, ...]:
@@ -150,8 +154,9 @@ def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposi
     ``numpy.linalg.matrix_rank``: a term is kept only if its singular value
     exceeds ``s_max * max(D_L, D_R) * eps``, so the dropped tail is
     roundoff, below every residual gate (see :mod:`bnineq.tolerances`).
-    Right vectors absorb the conjugation needed for the reconstruction
-    identity, i.e. they are the conjugated right-singular vectors.
+    The left vectors are the columns of numpy's ``u``, and the right
+    vectors are the rows of numpy's ``vh``, transposed: the conjugated
+    right-singular vectors, which the reconstruction identity needs.
     """
     _check_split(psi.shape, split)
     return SchmidtDecomposition(split, *_schmidt_arrays(psi, split), psi.shape)

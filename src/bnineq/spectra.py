@@ -2,7 +2,9 @@
 
 The decompositions delegate to LAPACK (via numpy.linalg), which easily
 meets the backward-error contracts at the matrix sizes this package deals
-with; the wrappers pin down ordering, validation, and error mapping.
+with; the wrappers pin down ordering and validation, and
+:func:`bnineq.tensor._lapack` maps a LAPACK failure to
+:class:`NumericalError`.
 
 Every entropy of a pure vector goes through one kernel,
 :func:`entanglement_entropy`: the vector is reshaped to a matrix M, the
@@ -52,17 +54,17 @@ def hermitian_eigen(m) -> tuple[Spectrum, np.ndarray]:
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = u @ diag(s) @ v.conj().T``.
+    """Thin singular value decomposition ``m = u @ diag(s) @ vh``, as
+    ``numpy.linalg.svd(m, full_matrices=False)`` returns it.
 
-    ``s`` is descending; ``u`` and ``v`` have orthonormal columns.  Works
-    for any (rectangular) complex matrix, and for a stack (..., m, n) of
-    them, one decomposition per matrix.
+    ``s`` is descending; ``u`` has orthonormal columns and ``vh``
+    orthonormal rows.  Works for any (rectangular) complex matrix, and for
+    a stack (..., m, n) of them, one decomposition per matrix.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2:
         raise InputError(f"expected a matrix, got array of shape {a.shape}")
-    u, s, vh = _lapack("svd", a, full_matrices=False)
-    return u, s, vh.conj().swapaxes(-1, -2)
+    return _lapack("svd", a, full_matrices=False)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ writes the state files that the commands read into ``DIR/states`` with
 ``python -m bnineq.cli``, importing this checkout's ``src``, from ``DIR``
 as the working directory, so every path a report prints is relative.  Run
 ``NAME`` leaves ``DIR/runs/NAME.out``, ``NAME.err`` and ``NAME.code`` (the
-exit code).  The script exits 1 if any run exits with a code other than
-0 or 2 or prints a ``Traceback``, after writing every run.  Two checkouts
-then compare with one ``diff -r``::
+exit code).  The script exits 1, after writing every run and naming each
+bad one, if a run of ``REFUSALS`` exits with a code other than 2, any
+other run with a code other than 0, or any run prints a ``Traceback``.
+Two checkouts then compare with one ``diff -r``::
 
     python old/tests/cli_matrix.py /tmp/old
     python new/tests/cli_matrix.py /tmp/new
@@ -87,18 +88,8 @@ REPORTS = {
     "deform-eps-1e-9": ["deform", "--dim", "2", "--eps", "1e-9"],
 }
 
-#: Every run, by name: the reports above, one long scan in one format,
-#: then the refusals (exit 2) and the help texts (exit 0).
-RUNS = {
-    f"{name}-{fmt}-{base}": [*argv, "--format", fmt, "--log-base", base]
-    for name, argv in REPORTS.items()
-    for fmt in ("json", "csv")
-    for base in ("e", "2")
-} | {
-    # one stack of 4,096 samples at d = 2 and part of a second
-    "scan-d2-chunks-csv": [
-        "scan", "--dim", "2", "--samples", "4100", "--seed", "7", "--format", "csv",
-    ],
+#: The refusals of bad input: each run must exit 2.
+REFUSALS = {
     "maximize-no-source": ["maximize"],
     "maximize-both-sources": ["maximize", "--input", "states/canon.json", "--dim", "2"],
     "maximize-d31": ["maximize", "--dim", "31"],
@@ -114,6 +105,22 @@ RUNS = {
     "unknown-flag": ["counterexample", "--dim", "2", "--frobnicate"],
     "missing-dim": ["counterexample"],
     "no-subcommand": [],
+}
+
+#: Every run, by name: the reports above, one long scan in one format,
+#: the refusals and the help texts.  Every run outside ``REFUSALS`` must
+#: exit 0.
+RUNS = {
+    f"{name}-{fmt}-{base}": [*argv, "--format", fmt, "--log-base", base]
+    for name, argv in REPORTS.items()
+    for fmt in ("json", "csv")
+    for base in ("e", "2")
+} | {
+    # one stack of 4,096 samples at d = 2 and part of a second
+    "scan-d2-chunks-csv": [
+        "scan", "--dim", "2", "--samples", "4100", "--seed", "7", "--format", "csv",
+    ],
+} | REFUSALS | {
     "help": ["--help"],
     "maximize-help": ["maximize", "--help"],
 }
@@ -147,11 +154,12 @@ def main(argv: list[str]) -> int:
         (runs / f"{name}.out").write_text(run.stdout, encoding="utf-8")
         (runs / f"{name}.err").write_text(run.stderr, encoding="utf-8")
         (runs / f"{name}.code").write_text(f"{run.returncode}\n", encoding="utf-8")
-        if run.returncode not in (0, 2) or "Traceback" in run.stdout + run.stderr:
-            bad.append(f"{name} (exit {run.returncode})")
+        want = 2 if name in REFUSALS else 0
+        if run.returncode != want or "Traceback" in run.stdout + run.stderr:
+            bad.append(f"{name} (exit {run.returncode}, expected {want})")
     print(f"{len(RUNS)} runs written to {runs}")
     if bad:
-        print("crashed: " + ", ".join(bad), file=sys.stderr)
+        print("failed: " + ", ".join(bad), file=sys.stderr)
         return 1
     return 0
 

@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-import bnineq
-from bnineq import NumericalError
-
 
 @pytest.fixture
-def fail_svd_on(monkeypatch):
-    """Make every Schmidt SVD whose stack holds the amplitude vector passed
-    to the returned function raise ``NumericalError``."""
+def fail_lapack(monkeypatch):
+    """Make ``numpy.linalg.<name>`` raise ``LinAlgError("injected")``, so
+    the failure takes the path of a real one, through ``tensor._lapack``.
 
-    def install(bad):
-        svd = bnineq.spectra.svd
+    ``fail_lapack(name)`` fails every call; ``fail_lapack(name, on=amps)``
+    fails only a call whose stack holds the amplitude vector ``amps``."""
 
-        def failing_svd(m):
-            if any(np.array_equal(row, bad) for row in np.reshape(m, (-1, bad.size))):
-                raise NumericalError("SVD failed to converge: injected")
-            return svd(m)
+    def install(name, on=None):
+        routine = getattr(np.linalg, name)
 
-        monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+        def failing(a, *args, **kwargs):
+            if on is None or any(np.array_equal(row, on) for row in np.reshape(a, (-1, on.size))):
+                raise np.linalg.LinAlgError("injected")
+            return routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, failing)
 
     return install

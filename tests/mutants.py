@@ -202,6 +202,16 @@ MUTANTS = (
         ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
     ),
     Mutant(
+        "right Schmidt vectors conjugated: wrong on complex Haar states",
+        "schmidt",
+        "vh.swapaxes(-1, -2)",
+        "vh.conj().swapaxes(-1, -2)",
+        (
+            "tests/test_schmidt.py::test_verify_scores_sound_decompositions_near_zero",
+            "tests/test_schmidt.py::test_schmidt_coefficients_match_marginal_spectrum[dims0-split0]",
+        ),
+    ),
+    Mutant(
         "Ginibre real and imaginary parts swapped: wrong at every seed",
         "schmidt",
         "(x[:, 0] + 1j * x[:, 1])",

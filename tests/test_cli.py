@@ -18,7 +18,6 @@ from bnineq import (
     ADDITIVITY_SPLIT,
     FactorShape,
     FourFactorState,
-    NumericalError,
     PureState,
     bn_gap,
     canonical_counterexample,
@@ -457,11 +456,8 @@ def test_maximize_accepts_dim_5_at_the_default_budget(capsys):
     assert re.fullmatch(r"restarts=20 sweeps_used=\d+/2000 stop=(converged|budget)", doc["search"])
 
 
-def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
-    def failing_svd(m):
-        raise NumericalError("SVD failed to converge: injected")
-
-    monkeypatch.setattr(bnineq.spectra, "svd", failing_svd)
+def test_scan_exit_3_when_every_sample_fails(capsys, fail_lapack):
+    fail_lapack("svd")
     code = main(["scan", "--dim", "2", "--samples", "4", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -470,13 +466,10 @@ def test_scan_exit_3_when_every_sample_fails(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["solve", "qr"])
-def test_maximize_exit_3_when_a_lapack_call_fails(capsys, monkeypatch, name):
+def test_maximize_exit_3_when_a_lapack_call_fails(capsys, fail_lapack, name):
     # The Cayley step's solve and the Haar restarts' QR go through the one
     # LinAlgError -> NumericalError rule, like every other LAPACK call.
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("injected")
-
-    monkeypatch.setattr(np.linalg, name, fail)
+    fail_lapack(name)
     code = main(["maximize", "--dim", "2"])
     captured = capsys.readouterr()
     assert code == 3
@@ -506,8 +499,9 @@ def test_scan_json_writer_matches_the_json_encoder(dim, log_base, unit):
     assert _scan_json(doc) == encoded(doc)
 
 
-def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_svd_on):
-    fail_svd_on(haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7)).amplitudes)
+def test_scan_json_writer_matches_the_json_encoder_with_error_rows(fail_lapack):
+    seventh = haar_state(FactorShape((2, 2, 2, 2)), bnineq.derive_seed(3, 7))
+    fail_lapack("svd", on=seventh.amplitudes)
     args = build_parser().parse_args(["scan", "--dim", "2", "--samples", "20", "--seed", "3"])
     doc = {"command": "scan", **run_scan(args, 1.0)}
     assert [row["sample_index"] for row in doc["errors"]] == [7]

@@ -165,9 +165,9 @@ def test_scan_single_sample_matches_direct_evaluation():
             assert row.gap == direct.gap, (dims, row.sample_index)
 
 
-def test_scan_isolates_a_failing_sample_in_its_stack(fail_svd_on):
+def test_scan_isolates_a_failing_sample_in_its_stack(fail_lapack):
     clean = scan(20, Q4, 3)
-    fail_svd_on(haar_state(Q4, derive_seed(3, 7)).amplitudes)
+    fail_lapack("svd", on=haar_state(Q4, derive_seed(3, 7)).amplitudes)
     report = scan(20, Q4, 3)
     assert report.errors == {7: "SVD failed to converge: injected"}
     assert [r.error is None for r in report.per_sample] == [i != 7 for i in range(20)]
@@ -209,7 +209,7 @@ def test_scan_records_samples_that_fail_the_residual_gate(monkeypatch):
     assert report.violation_count == clean.violation_count - 1
 
 
-def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
+def test_scan_redoes_a_failing_stack_through_bn_gap(fail_lapack, monkeypatch):
     # Sample 7 breaks the stack's SVD, so all 20 samples take the bn_gap
     # route, whose gate refuses sample 3 with the text a stacked row gets.
     clean = scan(20, Q4, 3)
@@ -230,7 +230,7 @@ def test_scan_redoes_a_failing_stack_through_bn_gap(fail_svd_on, monkeypatch):
         return 1e-6 if np.array_equal(psi.amplitudes, third) else verify_one(psi, dec)
 
     monkeypatch.setattr(bnineq.inequality, "verify_decomposition", scores)
-    fail_svd_on(haar_state(Q4, derive_seed(3, 7)).amplitudes)
+    fail_lapack("svd", on=haar_state(Q4, derive_seed(3, 7)).amplitudes)
     report = scan(20, Q4, 3)
     assert report.errors == {3: stacked, 7: "SVD failed to converge: injected"}
     assert "does not reproduce the state" in stacked and "verification score" in stacked
