@@ -53,16 +53,11 @@ from .schmidt import degenerate_blocks, schmidt_decompose
 from .tensor import FactorShape, InputError, NumericalError, load_state
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: enough to reproduce the double exactly."""
-    return format(float(x), ".17g")
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return format(float(value), ".17g")
     if isinstance(value, list):
         # Lists of numbers join with ';', nested lists (index blocks) use
         # ':' inside so no list cell needs CSV quoting.

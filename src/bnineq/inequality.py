@@ -27,6 +27,7 @@ from .schmidt import (
     BipartiteSplit,
     _arranged,
     _haar_unitaries,
+    _rng,
     _schmidt_arrays,
     _schmidt_stack,
     _verify_stack,
@@ -35,12 +36,11 @@ from .schmidt import (
     verify_decomposition,
 )
 from .spectra import entanglement_entropy, entanglement_entropy_grad
-from .tensor import FactorShape, InputError, PureState, _as_int, _lapack
+from .tensor import FactorShape, InputError, PureState, _as_int, _lapack, _stacks
 from .tolerances import (
     GRAD_TOL,
     MAX_SEARCH_WORK,
     RESIDUAL_TOL,
-    STACK_ELEMENTS,
     START_TIE_TOL,
 )
 
@@ -376,10 +376,10 @@ def maximize_rhs(
     block-diagonal over the blocks.  Every W rotates one zero-padded stack
     of both sides' vectors as matrices.  The SVD start and ``restarts``
     Haar-random block unitaries are scored together as rotations of that
-    stack, by value only, in chunks of at most ``STACK_ELEMENTS`` entries.
+    stack, by value only, in the stacks that ``tensor._stacks`` cuts.
     Wide block b draws its restarts in order from one generator,
-    ``default_rng([seed mod 2^64, b])``, so restart r is that stream's r-th
-    draw whatever the chunking.  The best start wins, and a later start
+    ``schmidt._rng(seed, b)``, so restart r is that stream's r-th draw
+    however the starts are cut.  The best start wins, and a later start
     must beat it by more than ``START_TIE_TOL``, so ties go to the lowest
     index.  A Riemannian gradient ascent on W then begins from the
     winner's stack, the only start whose gradient is computed.  Each of
@@ -427,20 +427,19 @@ def maximize_rhs(
     # scored by value only; a later start wins only by more than
     # START_TIE_TOL, so starts equal up to roundoff go to the lowest index.
     sides = _sides(left, right, dims)
-    rngs = [np.random.default_rng([seed % 2**64, bi]) for bi in range(len(wide_blocks))]
+    rngs = [_rng(seed, bi) for bi in range(len(wide_blocks))]
     starts = restarts + 1 if wide_blocks else 1
-    chunk = max(1, STACK_ELEMENTS // (k * k + sides.size))
-    for start in range(0, starts, chunk):
-        w = np.tile(np.eye(k, dtype=np.complex128), (min(chunk, starts - start), 1, 1))
-        drawn = w[1:] if start == 0 else w
+    for stack in _stacks(starts, k * k + sides.size):
+        w = np.tile(np.eye(k, dtype=np.complex128), (stack.stop - stack.start, 1, 1))
+        drawn = w[1:] if stack.start == 0 else w
         for rng, b in zip(rngs, wide_blocks):
             drawn[:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), rng, len(drawn))
         rotated = _rotated(sides, w)
-        for i, t_value in enumerate(_rhs(lam, rotated).tolist(), start):
+        for i, t_value in enumerate(_rhs(lam, rotated).tolist(), stack.start):
             if i == 0:
                 initial = t_value
             if i == 0 or t_value > value + START_TIE_TOL:
-                value, best = t_value, rotated[i - start]
+                value, best = t_value, rotated[i - stack.start]
     sides, used, stop = _ascend(lam, best, mask, sweeps)
     left = sides[:k, :d1, :d2].reshape(k, -1).T
     right = sides[k:, :d3, :d4].reshape(k, -1).T

@@ -6,15 +6,15 @@ evaluation of the SVD route and the residual gate both live in
 :mod:`bnineq.inequality`, beside ``bn_gap``: ``_svd_gaps`` returns each
 row's refusal, and the scan records it.
 
-Reproducibility contract: every random draw comes from a
-``numpy.random.default_rng`` with a fixed seed.  ``haar_state`` and
-``haar_unitary`` seed it with their ``seed`` (mod 2^64); scan sample i
-with ``derive_seed(master_seed, i)``, the SplitMix64 mixer below.  In
-``maximize_rhs``, wide block b draws its restarts in order from one
-generator, ``default_rng([seed mod 2^64, b])``: restart r takes that
-stream's r-th Ginibre pair, however the starts are chunked.  Unitaries of
-both kinds come from one draw, ``schmidt._haar_unitaries``.  The same
-inputs produce the same outputs on every run.
+Reproducibility contract: every random draw comes from a generator of
+``schmidt._rng(seed, *words)``, which states the seed rule once.
+``haar_state`` and ``haar_unitary`` pass their ``seed`` and no word; scan
+sample i passes ``derive_seed(master_seed, i)``, the SplitMix64 mixer
+below.  In ``maximize_rhs``, wide block b draws its restarts in order from
+one generator, ``_rng(seed, b)``: restart r takes that stream's r-th
+Ginibre pair, however the starts are cut into stacks.  Unitaries of both
+kinds come from one draw, ``schmidt._haar_unitaries``.  The same inputs
+produce the same outputs on every run.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequality import ADDITIVITY_SPLIT, FourFactorState, _svd_gaps, bn_gap
-from .schmidt import _haar_unitaries, schmidt_decompose
-from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int
-from .tolerances import MAX_SCAN_AMPLITUDES, STACK_ELEMENTS, VIOLATION_THRESHOLD
+from .schmidt import _haar_unitaries, _rng, schmidt_decompose
+from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int, _stacks
+from .tolerances import MAX_SCAN_AMPLITUDES, VIOLATION_THRESHOLD
 
 __all__ = ["derive_seed", "haar_state", "haar_unitary", "SampleRecord", "ScanReport", "scan"]
-
-_MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(master_seed: int, index: np.ndarray) -> np.ndarray:
@@ -41,7 +39,7 @@ def _splitmix64(master_seed: int, index: np.ndarray) -> np.ndarray:
     arithmetic wraps mod 2^64 without an overflow warning and promotes
     alike under every numpy the package supports.
     """
-    z = (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(master_seed & _MASK64)
+    z = (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(master_seed % 2**64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -60,7 +58,7 @@ def derive_seed(master_seed: int, index: int) -> int:
     derives all of its seeds in one uint64 pass with the same layout.
     """
     master_seed, index = _as_int(master_seed, "master_seed"), _as_int(index, "index")
-    return _splitmix64(master_seed, np.array([index & _MASK64], dtype=np.uint64)).tolist()[0]
+    return _splitmix64(master_seed, np.array([index % 2**64], dtype=np.uint64)).tolist()[0]
 
 
 def haar_state(shape: FactorShape, seed: int) -> PureState:
@@ -70,8 +68,7 @@ def haar_state(shape: FactorShape, seed: int) -> PureState:
     parts (row 1); interleaving the rows by a copy and viewing the pairs as
     complex gives the values of ``x[0] + 1j * x[1]`` without the arithmetic.
     """
-    rng = np.random.default_rng(_as_int(seed, "seed") & _MASK64)
-    x = rng.standard_normal((2, shape.total_dimension))
+    x = _rng(_as_int(seed, "seed")).standard_normal((2, shape.total_dimension))
     return PureState.normalized(shape, x.T.copy().view(np.complex128))
 
 
@@ -82,7 +79,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     factorization's phase convention and makes the distribution exactly
     Haar.  ``n = 1`` gives a single uniformly random phase.
     """
-    return _haar_unitaries(n, np.random.default_rng(_as_int(seed, "seed") & _MASK64), 1)[0]
+    return _haar_unitaries(n, _rng(_as_int(seed, "seed")), 1)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +148,8 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     before anything is drawn.
 
     The scan only draws the states and records the error rows; it applies
-    no gate of its own.  Each stack of at most ``STACK_ELEMENTS``
-    amplitudes is evaluated by ``inequality._svd_gaps``, beside
+    no gate of its own.  Each stack of samples that ``tensor._stacks``
+    cuts is evaluated by ``inequality._svd_gaps``, beside
     :func:`bn_gap`: the kernels of :func:`schmidt_decompose`,
     :func:`verify_decomposition`, ``bn_lhs`` and ``bn_rhs`` and the
     residual gate of ``bn_gap``, so each row equals the single-state
@@ -179,16 +176,14 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     seeds.setflags(write=False)
     lhs, rhs = np.full((2, n_samples), np.nan)
     errors: dict[int, str] = {}
-    chunk = max(1, STACK_ELEMENTS // shape.total_dimension)
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        states = [haar_state(shape, seed) for seed in seeds[start:stop].tolist()]
+    for stack in _stacks(n_samples, shape.total_dimension):
+        states = [haar_state(shape, seed) for seed in seeds[stack].tolist()]
         amps = np.stack([psi.amplitudes for psi in states])
         try:
-            lhs[start:stop], rhs[start:stop], refused = _svd_gaps(amps, shape)
-            errors.update((start + i, text) for i, text in refused.items())
+            lhs[stack], rhs[stack], refused = _svd_gaps(amps, shape)
+            errors.update((stack.start + i, text) for i, text in refused.items())
         except NumericalError:
-            for i, psi in enumerate(states, start):
+            for i, psi in enumerate(states, stack.start):
                 try:
                     report = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
                     lhs[i], rhs[i] = report.lhs, report.rhs

@@ -8,7 +8,8 @@ restoring the original factor order).  When several coefficients coincide
 the decomposition is not unique: the vectors of a degenerate block may be
 mixed by any unitary, with the conjugate unitary applied on the other side.
 ``_haar_unitaries`` draws such unitaries, for ``maximize_rhs``'s restarts
-and for :func:`bnineq.sampling.haar_unitary`.
+and for :func:`bnineq.sampling.haar_unitary`, from generators that
+``_rng``, the package's only caller of ``numpy.random.default_rng``, seeds.
 """
 
 from __future__ import annotations
@@ -221,6 +222,14 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     gap = RESIDUAL_TOL / (2.0 * math.sqrt(lam.size) * max(lam.size - 1, 1))
     edges = [0, *(np.flatnonzero(np.diff(np.sqrt(lam)) < -gap) + 1).tolist(), lam.size]
     return tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
+
+
+def _rng(seed: int, *words: int) -> np.random.Generator:
+    """The generator of the integer ``seed`` and the stream words ``words``:
+    ``numpy.random.default_rng([seed mod 2^64, *words])``.  With no words it
+    is ``default_rng(seed mod 2^64)``: the stream of ``[seed mod 2^64]``,
+    built without the list."""
+    return np.random.default_rng([seed % 2**64, *words] if words else seed % 2**64)
 
 
 def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -19,7 +19,8 @@ below ``least``; ``_descending``, non-finite or ascending real vectors;
 ``_hermitian``, non-square, non-finite or non-Hermitian matrices;
 ``_positions``, empty, repeated or out-of-range factor positions.
 ``_lapack``, the package's only caller of ``numpy.linalg``, raises
-:class:`NumericalError` when a LAPACK routine fails.
+:class:`NumericalError` when a LAPACK routine fails.  ``_stacks``, the only
+reader of ``STACK_ELEMENTS``, cuts every stacked evaluation into slices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .tolerances import MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STATE_FILE_NORM_ATOL
+from .tolerances import (
+    MATRIX_ATOL, MAX_TOTAL_DIMENSION, NORM_ATOL, STACK_ELEMENTS, STATE_FILE_NORM_ATOL,
+)
 
 __all__ = [
     "InputError", "NumericalError", "FactorShape", "PureState", "DensityMatrix",
@@ -200,6 +203,17 @@ def permute_factors(psi: PureState, perm) -> PureState:
     return PureState(new_shape, grid.reshape(-1))
 
 
+def _stacks(n: int, size: int) -> list[slice]:
+    """The consecutive slices of ``range(n)`` in which a stacked evaluation
+    takes n items of ``size`` complex entries each: at most
+    ``STACK_ELEMENTS // size`` items per slice, and at least one.  The
+    package's only reader of ``STACK_ELEMENTS``, looked up when it runs, so
+    a test that patches ``bnineq.tensor.STACK_ELEMENTS`` sets the budget of
+    both ``scan`` and ``maximize_rhs``, whose outputs must not depend on it."""
+    step = max(1, STACK_ELEMENTS // size)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def _lapack(name: str, *args, **kwargs):
     """``numpy.linalg.<name>(*args, **kwargs)``, with a ``LinAlgError``
     raised as :class:`NumericalError`.  It is the only code in the package
@@ -281,9 +295,7 @@ def partial_trace_naive(psi: PureState, keep) -> DensityMatrix:
     kept_dims = [psi.shape.dims[a] for a in kept]
     traced_dims = [psi.shape.dims[a] for a in traced]
     amps = psi.amplitudes
-    n_keep = 1
-    for d in kept_dims:
-        n_keep *= d
+    n_keep = math.prod(kept_dims)
 
     def full_index(kept_part, traced_part):
         full = [0] * psi.shape.n_factors
@@ -328,11 +340,10 @@ def load_state(path) -> PureState:
     vector.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
+        # Listed first, as a UnicodeDecodeError is also a ValueError.
         raise InputError(f"cannot read state file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers too long to parse;
         # RecursionError, nesting too deep for the decoder.

@@ -77,6 +77,7 @@ RESIDUAL_TOL = 1e-9
 #: (1 MiB): scan's stacks of sample amplitudes and maximize_rhs's stacks of
 #: restart unitaries and rotated side stacks, so neither the sample
 #: count nor the restart count can grow working memory without bound.
+#: Its one reader is tensor._stacks, which cuts both kinds of stack.
 STACK_ELEMENTS = 2**16
 
 #: scan refuses more than this many amplitudes in all (samples times total

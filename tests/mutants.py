@@ -190,16 +190,26 @@ MUTANTS = (
     Mutant(
         "every wide block drawn from generator 0: wrong with two blocks",
         "inequality",
-        "[seed % 2**64, bi]",
-        "[seed % 2**64, 0]",
+        "_rng(seed, bi)",
+        "_rng(seed, 0)",
         ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
     ),
     Mutant(
         "each chunk of starts restarts the block streams: wrong past the first chunk",
         "inequality",
         "zip(rngs, wide_blocks)",
-        "zip([np.random.default_rng([seed % 2**64, bi]) for bi in range(len(rngs))], wide_blocks)",
+        "zip([_rng(seed, bi) for bi in range(len(rngs))], wide_blocks)",
         ("tests/test_inequality.py::test_maximize_scores_its_starts_as_the_sequential_loop_does",),
+    ),
+    Mutant(
+        "a stack budget below one item's size cuts stacks of no item: wrong at a budget of 1",
+        "tensor",
+        "max(1, STACK_ELEMENTS // size)",
+        "STACK_ELEMENTS // size",
+        (
+            "tests/test_sampling.py::test_scan_rows_do_not_depend_on_the_stack_budget[1]",
+            "tests/test_inequality.py::test_maximize_does_not_depend_on_the_stack_budget[2-1]",
+        ),
     ),
     Mutant(
         "right Schmidt vectors conjugated: wrong on complex Haar states",
@@ -272,7 +282,7 @@ MUTANTS = (
     Mutant(
         "the SVD start drawn like a restart: wrong on a state whose SVD basis is entangled",
         "inequality",
-        "drawn = w[1:] if start == 0 else w",
+        "drawn = w[1:] if stack.start == 0 else w",
         "drawn = w",
         (
             "tests/test_inequality.py::test_maximize_reports_the_rhs_of_its_svd_start[0-2]",

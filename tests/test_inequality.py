@@ -31,7 +31,7 @@ from bnineq import (
     verify_decomposition,
     von_neumann_entropy,
 )
-from bnineq import inequality
+from bnineq import inequality, tensor
 from bnineq.inequality import _ascend, _rhs, _rhs_ascent, _sides
 from bnineq.sampling import _haar_unitaries
 from bnineq.spectra import entanglement_entropy_grad
@@ -448,6 +448,21 @@ def test_maximize_seed_determinism():
     _, a = maximize_rhs(s, restarts=3, sweeps=2, seed=11)
     _, b = maximize_rhs(s, restarts=3, sweeps=2, seed=11)
     assert a.rhs == b.rhs
+
+
+@pytest.mark.parametrize("budget", [1, 17, 100])
+@pytest.mark.parametrize("d", [2, 3])
+def test_maximize_does_not_depend_on_the_stack_budget(d, budget, monkeypatch):
+    # tensor._stacks reads STACK_ELEMENTS when it runs, so a small budget
+    # scores the 8 starts one by one, or two by two at d = 2, budget 100.
+    s = canonical_counterexample(d)
+    want_dec, want = maximize_rhs(s, restarts=7, sweeps=30, seed=5)
+    monkeypatch.setattr(tensor, "STACK_ELEMENTS", budget)
+    dec, report = maximize_rhs(s, restarts=7, sweeps=30, seed=5)
+    assert dec.left.tobytes() == want_dec.left.tobytes()
+    assert dec.right.tobytes() == want_dec.right.tobytes()
+    assert (report.rhs, report.initial_rhs) == (want.rhs, want.initial_rhs)
+    assert report.state_descriptor == want.state_descriptor
 
 
 def test_maximize_reports_its_stop_reason():

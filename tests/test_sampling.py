@@ -292,6 +292,19 @@ def test_scan_is_reproducible():
     assert a.mean_gap == b.mean_gap
 
 
+@pytest.mark.parametrize("budget", [1, 17, 100])
+def test_scan_rows_do_not_depend_on_the_stack_budget(budget, monkeypatch):
+    # tensor._stacks reads STACK_ELEMENTS when it runs, so a small budget
+    # cuts 37 samples of dimension 16 into stacks of 1 (budgets 1 and 17)
+    # or 6 (budget 100) in place of one stack.
+    want = scan(37, Q4, 7)
+    monkeypatch.setattr(bnineq.tensor, "STACK_ELEMENTS", budget)
+    got = scan(37, Q4, 7)
+    for name in ("seeds", "lhs", "rhs", "gap"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.errors == want.errors
+
+
 def test_scan_aggregates_match_rows():
     report = scan(40, Q4, 5)
     gaps = [r.gap for r in report.per_sample if r.error is None]

@@ -136,6 +136,41 @@ def test_only_lapack_calls_numpy_linalg():
     assert calls == []
 
 
+def owners(node: ast.AST, found, owner: str = "") -> list[str]:
+    """``module.function`` for each node under ``node`` that ``found``
+    accepts, with the innermost enclosing function, or the module alone."""
+    out = [owner] if found(node) else []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = f"{owner.split('.')[0]}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        out += owners(child, found, owner)
+    return out
+
+
+def test_each_batching_rule_has_one_owner():
+    # ``schmidt._rng`` states the seed rule and ``tensor._stacks`` the stack
+    # budget, so that ``scan`` and ``maximize_rhs`` cannot drift apart, and
+    # a test that patches ``bnineq.tensor.STACK_ELEMENTS`` reaches both.
+    def named(node):
+        """The name a Name, Attribute or import alias node refers to."""
+        return next((getattr(node, a) for a in ("id", "attr", "name") if hasattr(node, a)), None)
+
+    def calls_default_rng(node):
+        return isinstance(node, ast.Call) and named(node.func) == "default_rng"
+
+    def reads_stack_elements(node):
+        # Every mention but the assignment in tolerances that defines it.
+        store = isinstance(getattr(node, "ctx", None), ast.Store)
+        return named(node) == "STACK_ELEMENTS" and not store
+
+    def found(rule):
+        return sorted(o for path in MODULES for o in owners(parse(path), rule, path.stem))
+
+    assert found(calls_default_rng) == ["schmidt._rng"]
+    # The import binds the name in tensor; _stacks alone reads it.
+    assert found(reads_stack_elements) == ["tensor", "tensor._stacks"]
+
+
 #: Public names that nothing in the package reads and ``__all__`` leaves
 #: out, each with the file outside the package that still names it.  Once
 #: that file stops naming one, the name is dead and should be deleted.
