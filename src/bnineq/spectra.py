@@ -6,15 +6,17 @@ with; the wrappers pin down ordering and validation, and
 :func:`bnineq.tensor._lapack` maps a LAPACK failure to
 :class:`NumericalError`.
 
-Every entropy of a pure vector goes through one kernel,
-:func:`entanglement_entropy`: the vector is reshaped to a matrix M, the
-spectrum of the smaller reduced density matrix M M^H is taken, then the
-clipped Shannon sum.  When the shorter side has 2 rows (a qubit cut) the
-spectrum is the closed form p± = (a + c)/2 ± hypot(a − c, 2|b|)/2 of the
-2×2 matrix [[a, b*], [b, c]]; every other shape goes to batched
-``eigvalsh``.  The gradient comes from the ``eigh`` of the same M M^H,
-so no entropy needs the SVD.  Every entropy is in nats; only the command
-line converts to bits.
+Every entropy of a pure vector that the package reports goes through one
+kernel, :func:`entanglement_entropy`: the vector is reshaped to a matrix
+M, the spectrum of the smaller reduced density matrix M M^H is taken,
+then the clipped Shannon sum.  When the shorter side has 2 rows (a qubit
+cut) the spectrum is the closed form p± = (a + c)/2 ± hypot(a − c, 2|b|)/2
+of the 2×2 matrix [[a, b*], [b, c]]; every other shape goes to batched
+``eigvalsh``.  :func:`entanglement_entropy_grad` takes the ``eigh`` of
+the same M M^H and reads both the gradient and the ascent's value,
+-sum q ln q, off the weights q = |W^H M|^2 of its rows, so no entropy
+needs the SVD.  Every entropy is in nats; only the command line converts
+to bits.
 """
 
 from __future__ import annotations
@@ -123,21 +125,25 @@ def entanglement_entropy(matrices) -> np.ndarray:
 def entanglement_entropy_grad(matrices) -> tuple[np.ndarray, np.ndarray]:
     """:func:`entanglement_entropy` and its gradient ``G = -2 ln(M M^H) M``
     (= ``-2 U diag(s ln s^2) V^H``): ``dS = Re tr(G^H dM)`` for every dM
-    that keeps M a unit vector.  Both come from one ``eigh`` of
-    ``M M^H = W diag(p) W^H``; the log weights are the squared norms q of
-    the rows r of ``W^H M``, so each row enters as ``r ln |r|^2`` (0 at
-    r = 0), while ln p of a tiny p is wrong (eigh gives p to about eps).
+    that keeps M a unit vector.  Both come from the eigenvectors W of one
+    ``eigh`` of ``M M^H``: the weights are the squared norms q of the rows
+    r of ``W^H M``, so each row enters G as ``r ln |r|^2`` (0 at r = 0),
+    while ln p of an eigenvalue p is wrong where p is tiny (eigh gives p to
+    about eps).  The entropy is ``max(-sum q ln q, 0)`` over the same logs,
+    with no second pass over the eigenvalues; q >= 0, so nothing needs
+    clipping.  It agrees with :func:`entanglement_entropy` to about 1e-14.
     G matches the SVD formula to about 1e-13, or to about 3e-8 where a tiny
     weight sits beside a zero one, whose eigenvectors M M^H resolves only
     to eps / weight.  Returns the entropies and the stack of gradients."""
     m = np.asarray(matrices)
     tall = m.shape[-2] > m.shape[-1]
     m = m.swapaxes(-1, -2) if tall else m
-    p, w = _lapack("eigh", m @ m.conj().swapaxes(-1, -2))
+    _, w = _lapack("eigh", m @ m.conj().swapaxes(-1, -2))
     rows = w.conj().swapaxes(-1, -2) @ m
-    q = (rows.real**2 + rows.imag**2).sum(axis=-1)
-    g = w @ (-2.0 * np.log(np.where(q > 0.0, q, 1.0))[..., None] * rows)
-    return _shannon(p), g.swapaxes(-1, -2) if tall else g
+    q = (rows * rows.conj()).real.sum(-1)
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    g = w @ (-2.0 * log_q[..., None] * rows)
+    return np.maximum(-(q * log_q).sum(-1), 0.0), g.swapaxes(-1, -2) if tall else g
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

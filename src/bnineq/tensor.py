@@ -340,10 +340,12 @@ def load_state(path) -> PureState:
     vector.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        # Listed first, as a UnicodeDecodeError is also a ValueError.
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError covers undecodable bytes and a path with a NUL byte.
         raise InputError(f"cannot read state file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers too long to parse;
         # RecursionError, nesting too deep for the decoder.

@@ -77,7 +77,7 @@ REPORTS = {
     "maximize-d2": ["maximize", "--dim", "2"],
     "maximize-haar": ["maximize", "--input", "states/haar.json"],
     "maximize-d3": ["maximize", "--dim", "3"],
-    "maximize-d3-stalled": ["maximize", "--dim", "3", "--seed", "4"],
+    "maximize-d3-stalled": ["maximize", "--dim", "3", "--seed", "164"],
     "maximize-flat": ["maximize", "--input", "states/flat.json"],
     "maximize-deformed": ["maximize", "--input", "states/deformed.json"],
     "check-comma": ["check", "--input", "states/a,b.json"],

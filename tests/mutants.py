@@ -60,11 +60,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "ln p for ln |r|^2 as the gradient's log weights: wrong at tiny weights",
+        "eigenvalues p for the weights |r|^2 of the gradient kernel: wrong at tiny weights",
         "spectra",
-        "np.log(np.where(q > 0.0, q, 1.0))",
-        "np.log(np.where(p > 0.0, p, 1.0))",
+        "q = (rows * rows.conj()).real.sum(-1)",
+        'q = _lapack("eigvalsh", m @ m.conj().swapaxes(-1, -2))',
         ("tests/test_spectra.py::test_entanglement_entropy_grad_matches_the_svd_formula",),
+    ),
+    Mutant(
+        "gradient kernel's entropy not clamped at 0: wrong at the weight 1 + 2 eps",
+        "spectra",
+        "np.maximum(-(q * log_q).sum(-1), 0.0)",
+        "-(q * log_q).sum(-1)",
+        ("tests/test_spectra.py::test_entropy_clipping_policy",),
     ),
     Mutant(
         "qubit-cut discriminant with |b| for 2|b|: wrong at every entangled qubit cut",
@@ -266,14 +273,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a stalled ascent reported as converged: wrong at d = 3, seed 4",
+        "a stalled ascent reported as converged: wrong at d = 3, seed 164",
         "inequality",
         'return sides, used, "stalled"',
         'return sides, used, "converged"',
         ("tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",),
     ),
     Mutant(
-        "the failed attempt of a stall counted as a step: wrong at d = 3, seed 4",
+        "the failed attempt of a stall counted as a step: wrong at d = 3, seed 164",
         "inequality",
         'return sides, used, "stalled"',
         'return sides, used + 1, "stalled"',
@@ -375,6 +382,16 @@ MUTANTS = (
         "starts = restarts + 1 if wide_blocks else 1",
         "starts = restarts + 1",
         ("tests/test_inequality.py::test_maximize_is_a_noop_without_degeneracy",),
+    ),
+    Mutant(
+        "each Cayley step shrinks the vectors by 1e-11, inside the gate: wrong at (2, 2, 2, 2)",
+        "inequality",
+        '_lapack("solve", eye - half, eye + half)',
+        '_lapack("solve", eye - half, (1 - 1e-11) * eye + half)',
+        (
+            "tests/test_properties.py::test_targeted_search_stays_below_the_marginal_bound",
+            "tests/test_properties.py::test_targeted_search_stays_within_half_the_gate",
+        ),
     ),
     Mutant(
         "the Cayley step calls np.linalg.solve directly: wrong on a LinAlgError at maximize --dim 2",

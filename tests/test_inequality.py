@@ -475,12 +475,12 @@ def test_maximize_reports_its_stop_reason():
 
 
 def test_maximize_reports_a_stall_apart_from_convergence():
-    # Seed 4 at d = 3 reaches 2 ln 3 with a gradient norm still above
+    # Seed 164 at d = 3 reaches 2 ln 3 with a gradient norm still above
     # GRAD_TOL, where no step length ascends: the ascent stalls, and the
     # failed attempt is not counted as a step.
     s = canonical_counterexample(3)
-    dec, report = maximize_rhs(s, seed=4)
-    assert report.state_descriptor == "restarts=20 sweeps_used=23/2000 stop=stalled"
+    dec, report = maximize_rhs(s, seed=164)
+    assert report.state_descriptor == "restarts=20 sweeps_used=88/2000 stop=stalled"
     assert abs(report.rhs - 2 * np.log(3)) <= 1e-12
     mask = np.ones((dec.rank, dec.rank), dtype=bool)  # one flat block
     sides = _sides(dec.left, dec.right, s.state.shape.dims)

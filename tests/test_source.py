@@ -147,14 +147,20 @@ def owners(node: ast.AST, found, owner: str = "") -> list[str]:
     return out
 
 
+def named(node: ast.AST) -> str | None:
+    """The name a Name, Attribute or import alias node refers to."""
+    return next((getattr(node, a) for a in ("id", "attr", "name") if hasattr(node, a)), None)
+
+
+def owners_of(rule) -> list[str]:
+    """``owners`` of the nodes that ``rule`` accepts, over every module."""
+    return sorted(o for path in MODULES for o in owners(parse(path), rule, path.stem))
+
+
 def test_each_batching_rule_has_one_owner():
     # ``schmidt._rng`` states the seed rule and ``tensor._stacks`` the stack
     # budget, so that ``scan`` and ``maximize_rhs`` cannot drift apart, and
     # a test that patches ``bnineq.tensor.STACK_ELEMENTS`` reaches both.
-    def named(node):
-        """The name a Name, Attribute or import alias node refers to."""
-        return next((getattr(node, a) for a in ("id", "attr", "name") if hasattr(node, a)), None)
-
     def calls_default_rng(node):
         return isinstance(node, ast.Call) and named(node.func) == "default_rng"
 
@@ -163,12 +169,21 @@ def test_each_batching_rule_has_one_owner():
         store = isinstance(getattr(node, "ctx", None), ast.Store)
         return named(node) == "STACK_ELEMENTS" and not store
 
-    def found(rule):
-        return sorted(o for path in MODULES for o in owners(parse(path), rule, path.stem))
-
-    assert found(calls_default_rng) == ["schmidt._rng"]
+    assert owners_of(calls_default_rng) == ["schmidt._rng"]
     # The import binds the name in tensor; _stacks alone reads it.
-    assert found(reads_stack_elements) == ["tensor", "tensor._stacks"]
+    assert owners_of(reads_stack_elements) == ["tensor", "tensor._stacks"]
+
+
+def test_only_the_eigenvalue_kernels_take_the_shannon_sum():
+    # The gradient kernel reads its entropy off the weights that build its
+    # gradient, so no ascent step takes a second pass over the eigenvalues.
+    def reads_shannon(node):
+        return named(node) == "_shannon" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    assert sorted(set(owners_of(reads_shannon))) == [
+        "spectra.entanglement_entropy",
+        "spectra.entropy_from_eigenvalues",
+    ]
 
 
 #: Public names that nothing in the package reads and ``__all__`` leaves

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from bnineq import (
@@ -28,6 +28,7 @@ from bnineq.spectra import (
     entropy_from_eigenvalues,
     svd,
 )
+from bnineq.tolerances import GRAD_TOL
 
 # Frozen by direct evaluation of -sum(p ln p) for p = (3/4, 1/4).
 ENTROPY_3Q = 0.5623351446188083
@@ -146,6 +147,8 @@ def test_entropy_clipping_policy():
     assert abs(von_neumann_entropy(rho)) < 1e-12
     # an eigenvalue one ulp above 1 would give a negative sum; it is clamped
     assert entropy_from_eigenvalues([1.0 + 2**-52]) == 0.0
+    # so is the gradient kernel's sum over its weights, here one of 1 + 2 eps
+    assert entanglement_entropy_grad(np.array([[1.0 + 2**-52]]))[0] == 0.0
     # below the window the spectrum is treated as corrupt, and no density
     # matrix with such an eigenvalue can be built in the first place
     with pytest.raises(NumericalError):
@@ -339,6 +342,37 @@ def test_entanglement_entropy_grad_matches_the_svd_formula(seed, shape, second):
     values, grads = entanglement_entropy_grad(np.stack([m, 1j * m]))
     assert np.max(np.abs(values - value)) <= 5e-14
     assert np.max(np.abs(grads - np.stack([grad, 1j * grad]))) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: a tiny weight beside zero weights")
+def test_targeted_gradient_error_stays_below_grad_tol():
+    # GRAD_TOL is the ascent's stop threshold, so a larger error could fake
+    # or hide convergence.  The Gram eigenvectors of a tiny weight are
+    # resolved only to eps / weight where a zero weight sits beside it, so
+    # the worst error stays above GRAD_TOL until the kernel resolves them
+    # otherwise.  The whole search runs, and its worst error is reported.
+    errors = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 4), (4, 3)]),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=6.0, max_value=17.0),
+    )
+    def search(seed, shape, cluster, exponent):
+        # leading weights in one degenerate cluster, a tiny weight, zeros
+        tiny = 10.0**-exponent
+        p = np.zeros(min(shape))
+        p[:cluster] = (1.0 - tiny) / cluster
+        if cluster < p.size:
+            p[cluster] = tiny
+        m = matrix_with_spectrum(shape, p / p.sum(), seed)
+        errors.append(float(np.max(np.abs(entanglement_entropy_grad(m)[1] - svd_gradient(m)))))
+        target(errors[-1])
+
+    search()
+    assert max(errors) <= GRAD_TOL
 
 
 def test_entanglement_entropy_of_a_qubit_cut_calls_no_eigensolver(monkeypatch):

@@ -379,3 +379,12 @@ def test_state_file_rejects_non_json(tmp_path):
         load_state(path)
     with pytest.raises(InputError):
         load_state(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("name", ["missing.json", "a\x00b.json", "latin1.json"])
+def test_state_file_read_errors_are_reported_as_such(tmp_path, name):
+    # A path that cannot be opened, or bytes that are not UTF-8, fail the
+    # read, not the JSON parse.
+    (tmp_path / "latin1.json").write_bytes(b'{"dims": [2], "caf\xe9": 1}')
+    with pytest.raises(InputError, match="^cannot read state file "):
+        load_state(tmp_path / name)
