@@ -36,8 +36,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .inequality import (
     ADDITIVITY_SPLIT,
     FourFactorState,
@@ -150,9 +148,9 @@ def run_scan(args: argparse.Namespace, unit: float) -> dict:
     report = scan(args.samples, FactorShape((args.dim,) * 4), args.seed)
     if len(report.errors) == report.n_samples:
         raise NumericalError("every sample in the scan failed")
-    ok = np.delete(np.arange(report.n_samples), list(report.errors))
+    ok = report._ok
     arrays = (report.seeds, report.lhs * unit, report.rhs * unit, report.gap * unit)
-    values = zip(ok.tolist(), *(a[ok].tolist() for a in arrays))
+    values = zip(ok.nonzero()[0].tolist(), *(a[ok].tolist() for a in arrays))
     return {
         "n_samples": report.n_samples,
         "shape": list(report.shape.dims),

@@ -19,7 +19,7 @@ near -2 log d, so the violation survives without any freedom of choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class GapReport:
     """One evaluation of the inequality: lhs, rhs, and gap = lhs - rhs, in nats.
 
     ``gap < 0`` certifies a violation for the decomposition used, and
-    ``residual`` is its verification score, which :func:`bn_gap` gated on.
+    ``residual`` is its verification score, which passed the residual gate.
     ``decomposition_source`` names its origin.  The package sets three tags:
     "svd" (``bnineq check``, and :func:`maximize_rhs` with no degenerate
     freedom), "rotated" (a search by :func:`maximize_rhs`) and "custom" (the
@@ -152,7 +152,8 @@ def bn_rhs(dec: SchmidtDecomposition) -> float:
 def _refusal(score: float) -> str | None:
     """The residual gate: None for a verification score of at most
     ``RESIDUAL_TOL``, else the refusal text (a NaN score is refused).  The
-    one place that applies the gate, for :func:`bn_gap` and :func:`_svd_gaps`."""
+    one place that applies the gate, for :func:`bn_gap`, :func:`_svd_gaps`
+    and :func:`maximize_rhs`."""
     if not score <= RESIDUAL_TOL:
         gate = f"verification score {score:.3e} > {RESIDUAL_TOL}"
         return f"decomposition does not reproduce the state ({gate})"
@@ -330,7 +331,8 @@ def _ascend(
     and the stop reason, "converged" (gradient norm at most ``GRAD_TOL``),
     "stalled" (no step length ascends) or "budget" (all ``sweeps`` used)."""
     value, grad = _rhs_ascent(lam, sides, mask)
-    eye = np.eye(lam.size)
+    eye = np.zeros((lam.size, lam.size))
+    eye.flat[:: lam.size + 1] = 1.0
     step, used = 1.0, 0
     while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
         if used == sweeps:
@@ -395,10 +397,15 @@ def maximize_rhs(
     Every accepted step ascends, so the result is never worse than the
     SVD start.  The blocks are those of :func:`degenerate_blocks`, so every
     W moves the decomposition by at most half of ``RESIDUAL_TOL`` and the
-    result passes :func:`bn_gap`.  A state with no degenerate block takes
-    the same path with the SVD start as its only start and no draw; its
-    gradient is masked to exactly 0, so the ascent stops at once with no
-    step, and the state comes back unchanged, tagged "svd" with the
+    result passes the residual gate.  The state is arranged once, for the
+    SVD, and the report is built from the arrays the search holds: that
+    matrix, the coefficients and the ascent's final stack go through the
+    kernels and the gate of :func:`bn_gap`, so the report equals
+    ``bn_gap(s, dec)`` of the returned ``dec``, with the two search fields
+    set.  A state with no degenerate block takes the same path with the
+    SVD start as its only start and no draw; its gradient is masked to
+    exactly 0, so the ascent stops at once with no step, and the state
+    comes back unchanged, tagged "svd" with the
     descriptor "no degenerate freedom".  Otherwise the tag is "rotated" and
     the descriptor records the restarts, the accepted steps and the stop
     reason.  ``initial_rhs`` is the SVD start's rhs in both cases.
@@ -415,7 +422,8 @@ def maximize_rhs(
             f"work limit (restarts + sweeps) * rank^2 * (d1*d2 + d3*d4) <= {MAX_SEARCH_WORK:.0e}"
         )
     shape = s.state.shape
-    lam, left, right = _schmidt_arrays(s.state, ADDITIVITY_SPLIT)
+    m = _arranged(s.state.amplitudes[None], shape, ADDITIVITY_SPLIT)
+    lam, left, right = _schmidt_arrays(m)
     k = lam.size
     wide_blocks = [b for b in degenerate_blocks(lam) if len(b) > 1]
     mask = np.zeros((k, k), dtype=bool)
@@ -430,7 +438,8 @@ def maximize_rhs(
     rngs = [_rng(seed, bi) for bi in range(len(wide_blocks))]
     starts = restarts + 1 if wide_blocks else 1
     for stack in _stacks(starts, k * k + sides.size):
-        w = np.tile(np.eye(k, dtype=np.complex128), (stack.stop - stack.start, 1, 1))
+        w = np.zeros((stack.stop - stack.start, k, k), np.complex128)
+        w.reshape(len(w), -1)[:, :: k + 1] = 1.0  # the identity in every slot
         drawn = w[1:] if stack.start == 0 else w
         for rng, b in zip(rngs, wide_blocks):
             drawn[:, b[0]:b[-1] + 1, b[0]:b[-1] + 1] = _haar_unitaries(len(b), rng, len(drawn))
@@ -444,7 +453,10 @@ def maximize_rhs(
     left = sides[:k, :d1, :d2].reshape(k, -1).T
     right = sides[k:, :d3, :d4].reshape(k, -1).T
     best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)
+    score = float(_verify_stack(m, lam[None], best_dec.left[None], best_dec.right[None])[0])
+    if refusal := _refusal(score):
+        raise InputError(refusal)
+    lhs, rhs = float(_lhs(s.state.amplitudes[None], shape)[0]), float(_rhs(lam, sides[None])[0])
     search = f"restarts={restarts} sweeps_used={used}/{sweeps} stop={stop}"
     source, descriptor = ("rotated", search) if wide_blocks else ("svd", "no degenerate freedom")
-    report = bn_gap(s, best_dec, source=source)
-    return best_dec, replace(report, state_descriptor=descriptor, initial_rhs=initial)
+    return best_dec, GapReport(lhs, rhs, lhs - rhs, score, source, descriptor, initial)

@@ -116,17 +116,20 @@ class ScanReport:
     n_samples = property(lambda self: self.gap.size)
 
     @property
-    def _gaps(self) -> np.ndarray:
-        """The gaps of the successful samples."""
-        return np.delete(self.gap, list(self.errors))
+    def _ok(self) -> np.ndarray:
+        """The mask of the successful samples."""
+        ok = np.ones(self.n_samples, dtype=bool)
+        ok[list(self.errors)] = False
+        return ok
 
     def _stat(self, stat) -> float:
-        return float(stat(self._gaps)) if len(self.errors) < self.n_samples else float("nan")
+        gaps = self.gap[self._ok]
+        return float(stat(gaps)) if gaps.size else float("nan")
 
-    min_gap = property(lambda self: self._stat(np.min))
-    max_gap = property(lambda self: self._stat(np.max))
-    mean_gap = property(lambda self: self._stat(np.mean))
-    violation_count = property(lambda self: int(np.count_nonzero(self._gaps < VIOLATION_THRESHOLD)))
+    min_gap = property(lambda self: self._stat(np.ndarray.min))
+    max_gap = property(lambda self: self._stat(np.ndarray.max))
+    mean_gap = property(lambda self: self._stat(np.ndarray.mean))
+    violation_count = property(lambda self: int((self.gap[self._ok] < VIOLATION_THRESHOLD).sum()))
 
     @property
     def per_sample(self) -> tuple[SampleRecord, ...]:
@@ -174,11 +177,12 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
         )
     seeds = _splitmix64(master_seed, np.arange(n_samples, dtype=np.uint64))
     seeds.setflags(write=False)
-    lhs, rhs = np.full((2, n_samples), np.nan)
+    lhs, rhs = np.empty((2, n_samples))
+    lhs[:] = rhs[:] = np.nan  # a failed sample keeps NaN
     errors: dict[int, str] = {}
     for stack in _stacks(n_samples, shape.total_dimension):
         states = [haar_state(shape, seed) for seed in seeds[stack].tolist()]
-        amps = np.stack([psi.amplitudes for psi in states])
+        amps = np.array([psi.amplitudes for psi in states])
         try:
             lhs[stack], rhs[stack], refused = _svd_gaps(amps, shape)
             errors.update((stack.start + i, text) for i, text in refused.items())

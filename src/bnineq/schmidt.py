@@ -15,6 +15,7 @@ and for :func:`bnineq.sampling.haar_unitary`, from generators that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +111,11 @@ class SchmidtDecomposition:
                     f"{side} vectors have array shape {cols.shape}, expected {(rows, k)} "
                     f"for {k} coefficients"
                 )
-            if not np.all(np.isfinite(cols)):
+            if not np.isfinite(cols).all():
                 raise InputError(f"{side} vectors have non-finite entries")
             cols.setflags(write=False)
             object.__setattr__(self, side, cols)
-        if np.any(lam < 0.0):
+        if (lam < 0.0).any():
             raise InputError(f"negative Schmidt coefficient: {float(lam.min())!r}")
         total = float(lam.sum())
         if abs(total - 1.0) > MATRIX_ATOL:
@@ -135,15 +136,16 @@ def _schmidt_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Coefficients past the numerical rank (see :func:`schmidt_decompose`)
     are 0; the kept ones exceed eps**2, so a count of nonzeros is the rank."""
     u, s, vh = spectra.svd(m)
-    keep = s > s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps
+    keep = s > s[..., :1] * max(m.shape[-2:]) * sys.float_info.epsilon
     return np.where(keep, s**2, 0.0), u, vh.swapaxes(-1, -2)
 
 
-def _schmidt_arrays(psi: PureState, split: BipartiteSplit) -> tuple[np.ndarray, ...]:
-    """The arrays of :func:`schmidt_decompose`: coefficients (k,), left
-    (D_L, k) and right (D_R, k) vectors, cut at the numerical rank k."""
-    lam, left, right = _schmidt_stack(_arranged(psi.amplitudes[None], psi.shape, split))
-    k = int(np.count_nonzero(lam[0]))
+def _schmidt_arrays(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`schmidt_decompose` of one state matrix, given as
+    a stack (1, D_L, D_R): coefficients (k,), left (D_L, k) and right
+    (D_R, k) vectors, cut at the numerical rank k."""
+    lam, left, right = _schmidt_stack(m)
+    k = int((lam[0] > 0.0).sum())
     return lam[0, :k], left[0, :, :k], right[0, :, :k]
 
 
@@ -160,7 +162,8 @@ def schmidt_decompose(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposi
     right-singular vectors, which the reconstruction identity needs.
     """
     _check_split(psi.shape, split)
-    return SchmidtDecomposition(split, *_schmidt_arrays(psi, split), psi.shape)
+    m = _arranged(psi.amplitudes[None], psi.shape, split)
+    return SchmidtDecomposition(split, *_schmidt_arrays(m), psi.shape)
 
 
 def _family_violation(vectors: np.ndarray) -> np.ndarray:
@@ -168,8 +171,9 @@ def _family_violation(vectors: np.ndarray) -> np.ndarray:
     column vectors: the largest of |norm - 1| per column and |<v_i, v_j>|
     for i != j."""
     gram = vectors.conj().swapaxes(-1, -2) @ vectors
-    norms = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1).real))
-    off = np.where(np.eye(gram.shape[-1], dtype=bool), 0.0, np.abs(gram))
+    norms = np.sqrt(np.abs(gram.diagonal(0, -2, -1).real))
+    off = np.abs(gram)
+    off.reshape(len(off), -1)[:, :: off.shape[-1] + 1] = 0.0  # each matrix's diagonal
     return np.maximum(np.abs(norms - 1.0).max(axis=-1), off.max(axis=(-2, -1)))
 
 
@@ -182,8 +186,8 @@ def _verify_stack(target, lam, left, right) -> np.ndarray:
     # Row-wise dot products through matmul sum as numpy.linalg.norm does.
     re, im = diff.real, diff.imag
     residual = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
-    defects = (_family_violation(left), _family_violation(right), np.abs(lam.sum(axis=-1) - 1.0))
-    return np.max([residual, *defects], axis=0)
+    defect = np.maximum(_family_violation(left), _family_violation(right))
+    return np.maximum(np.maximum(residual, defect), np.abs(lam.sum(axis=-1) - 1.0))
 
 
 def verify_decomposition(psi: PureState, dec: SchmidtDecomposition) -> float:
@@ -220,7 +224,9 @@ def degenerate_blocks(coefficients) -> tuple[tuple[int, ...], ...]:
     if lam.size == 0 or lam[-1] < 0.0:
         raise InputError(f"negative coefficient {lam[-1]}" if lam.size else "empty coefficient list")
     gap = RESIDUAL_TOL / (2.0 * math.sqrt(lam.size) * max(lam.size - 1, 1))
-    edges = [0, *(np.flatnonzero(np.diff(np.sqrt(lam)) < -gap) + 1).tolist(), lam.size]
+    root = np.sqrt(lam)
+    cuts = ((root[1:] - root[:-1]) < -gap).nonzero()[0] + 1
+    edges = [0, *cuts.tolist(), lam.size]
     return tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:]))
 
 
@@ -241,6 +247,6 @@ def _haar_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     x = rng.standard_normal((count, 2, n, n))
     z = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
     q, r = _lapack("qr", z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag = r.diagonal(0, -2, -1).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))[:, None, :]

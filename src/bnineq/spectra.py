@@ -92,7 +92,7 @@ def entropy_from_eigenvalues(values) -> float:
     :class:`InputError`.
     """
     p = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise InputError("eigenvalues must be finite")
     return float(_shannon(p))
 
@@ -118,7 +118,9 @@ def entanglement_entropy(matrices) -> np.ndarray:
         a, c = norms[..., 0], norms[..., 1]
         b = np.abs((m[..., 1, :] * m[..., 0, :].conj()).sum(axis=-1))
         mid, half = 0.5 * (a + c), 0.5 * np.hypot(a - c, 2.0 * b)
-        return _shannon(np.stack((mid + half, mid - half), axis=-1))
+        p = np.empty((*mid.shape, 2))
+        p[..., 0], p[..., 1] = mid + half, mid - half
+        return _shannon(p)
     return _shannon(_lapack("eigvalsh", m @ m.conj().swapaxes(-1, -2)))
 
 

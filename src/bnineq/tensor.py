@@ -73,9 +73,9 @@ def _as_int(value, what: str, least: int | None = None) -> int:
 def _descending(values, what: str) -> np.ndarray:
     """``values`` as a flat, read-only float64 copy: finite and descending."""
     v = np.array(values, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError(f"{what} must be finite")
-    if np.any(v[1:] > v[:-1]):
+    if (v[1:] > v[:-1]).any():
         raise InputError(f"{what} must be sorted in descending order")
     v.setflags(write=False)
     return v
@@ -87,10 +87,10 @@ def _hermitian(m, what: str) -> np.ndarray:
     a = np.array(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{what} must be square, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{what} has non-finite entries")
     with np.errstate(over="ignore"):  # a huge finite entry deviates by inf
-        herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+        herm_dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if not herm_dev <= MATRIX_ATOL:
         raise InputError(f"{what} deviates from Hermitian by {herm_dev:.3e} (tol {MATRIX_ATOL})")
     return a
@@ -244,10 +244,10 @@ class DensityMatrix:
             raise InputError(
                 f"matrix dimension {m.shape[0]} does not match shape {self.origin_shape.dims}"
             )
-        trace_dev = abs(complex(np.trace(m)) - 1.0)
+        trace_dev = abs(complex(m.trace()) - 1.0)
         if not trace_dev <= MATRIX_ATOL:
             raise InputError(f"trace deviates from 1 by {trace_dev:.3e}")
-        lowest = float(np.min(_lapack("eigvalsh", m)))
+        lowest = float(_lapack("eigvalsh", m).min())
         if not lowest >= -MATRIX_ATOL:
             raise InputError(f"eigenvalue {lowest:.3e} below the allowed floor -{MATRIX_ATOL}")
         m.setflags(write=False)

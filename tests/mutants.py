@@ -147,7 +147,7 @@ MUTANTS = (
     Mutant(
         "_descending lets NaN through: wrong at (nan, 1)",
         "tensor",
-        "if not np.all(np.isfinite(v)):",
+        "if not np.isfinite(v).all():",
         "if False:",
         (
             "tests/test_spectra.py::test_non_finite_inputs_are_rejected[Spectrum]",
@@ -158,7 +158,7 @@ MUTANTS = (
     Mutant(
         "_hermitian lets inf through: wrong at diag(1, -inf)",
         "tensor",
-        "if not np.all(np.isfinite(a)):",
+        "if not np.isfinite(a).all():",
         "if False:",
         (
             "tests/test_spectra.py::test_non_finite_inputs_are_rejected[DensityMatrix_inf]",
@@ -229,6 +229,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_family_violation stops zeroing the diagonal: wrong for every orthonormal family",
+        "schmidt",
+        "off.reshape(len(off), -1)[:, :: off.shape[-1] + 1] = 0.0",
+        "off.reshape(len(off), -1)[:, :: off.shape[-1] + 1] *= 1.0",
+        (
+            "tests/test_schmidt.py::test_verify_scores_sound_decompositions_near_zero",
+            "tests/test_schmidt.py::test_schmidt_keeps_small_coefficients_above_roundoff[1e-13]",
+        ),
+    ),
+    Mutant(
+        "_verify_stack's maximum drops the right-family defect: wrong when only the right "
+        "vectors are not orthonormal",
+        "schmidt",
+        "np.maximum(_family_violation(left), _family_violation(right))",
+        "_family_violation(left)",
+        ("tests/test_schmidt.py::test_verify_reports_a_defect_of_the_right_vectors_alone",),
+    ),
+    Mutant(
         "Ginibre real and imaginary parts swapped: wrong at every seed",
         "schmidt",
         "(x[:, 0] + 1j * x[:, 1])",
@@ -241,15 +259,15 @@ MUTANTS = (
     Mutant(
         "degenerate_blocks cuts at gaps >= g: wrong at square roots (g, 0)",
         "schmidt",
-        "np.diff(np.sqrt(lam)) < -gap",
-        "np.diff(np.sqrt(lam)) <= -gap",
+        "(root[1:] - root[:-1]) < -gap",
+        "(root[1:] - root[:-1]) <= -gap",
         ("tests/test_schmidt.py::test_degenerate_blocks_examples",),
     ),
     Mutant(
         "degenerate_blocks steps taken on lambda, not sqrt(lambda): wrong at steps of 100 g at 1e-3",
         "schmidt",
-        "np.diff(np.sqrt(lam))",
-        "np.diff(lam)",
+        "root = np.sqrt(lam)",
+        "root = lam",
         ("tests/test_properties.py::test_mixing_inside_the_blocks_stays_within_half_the_gate",),
     ),
     Mutant(

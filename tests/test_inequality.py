@@ -1,4 +1,5 @@
 import collections
+import itertools
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -436,6 +437,33 @@ def test_maximize_passes_its_own_gate_on_near_ties(d, eps):
     assert report.residual <= RESIDUAL_TOL / 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: canonical_counterexample(2),
+        lambda: canonical_counterexample(3),
+        lambda: deformed_counterexample(2, 0.1)[0],
+        lambda: FourFactorState(haar_state(FactorShape((2, 3, 3, 2)), 8)),
+        lambda: FourFactorState(PureState.normalized(FactorShape((2, 3, 3, 2)), np.eye(6))),
+    ],
+    ids=["canonical-2", "canonical-3", "deformed", "haar-2x3x3x2", "flat-2x3x3x2"],
+)
+def test_maximize_reports_what_bn_gap_reports_on_its_decomposition(build):
+    # The report is built from the search's own arrays, a zero-padded side
+    # stack at (2, 3, 3, 2); it must equal bn_gap's on the result, bit for bit.
+    s = build()
+    dec, report = maximize_rhs(s, restarts=3, sweeps=40, seed=2)
+    want = bn_gap(s, dec, source=report.decomposition_source)
+    fields = ("lhs", "rhs", "gap", "residual", "decomposition_source")
+    assert [getattr(report, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def test_maximize_refuses_a_nan_verification_score(monkeypatch):
+    monkeypatch.setattr(inequality, "_verify_stack", lambda *args: np.array([np.nan]))
+    with pytest.raises(InputError, match="does not reproduce the state"):
+        maximize_rhs(canonical_counterexample(2), restarts=0, sweeps=0)
+
+
 def test_maximize_rejects_negative_budgets():
     with pytest.raises(InputError):
         maximize_rhs(canonical_counterexample(2), restarts=-1)
@@ -488,6 +516,34 @@ def test_maximize_reports_a_stall_apart_from_convergence():
     assert np.linalg.norm(grad) > GRAD_TOL
     _, report = maximize_rhs(s, seed=0)
     assert report.state_descriptor.endswith("stop=converged")
+
+
+#: A fixed nonzero skew-Hermitian gradient on the four Schmidt vectors at d = 2.
+SKEW = np.arange(16.0).reshape(4, 4) * (1.0 + 2.0j) / 16.0
+SKEW = SKEW - SKEW.conj().T
+
+
+@pytest.mark.parametrize(
+    "objective, want",
+    [("constant", (0, "stalled")), ("rising", (7, "budget")), ("flat", (0, "converged"))],
+)
+def test_ascent_stop_reasons_need_no_pinned_seed(objective, want, monkeypatch):
+    # A fake objective stands in for _rhs_ascent, so each stop reason follows
+    # from the ascent's rules, not from one seed's path: a value that never
+    # rises under a nonzero gradient stalls before a step, a value that rises
+    # on every trial spends all 7 sweeps, and a zero gradient converges at once.
+    values = itertools.count()
+    fakes = {
+        "constant": lambda *args: (0.0, SKEW),
+        "rising": lambda *args: (float(next(values)), SKEW),
+        "flat": lambda *args: (0.0, np.zeros_like(SKEW)),
+    }
+    monkeypatch.setattr(inequality, "_rhs_ascent", fakes[objective])
+    dec = product_decomposition(2)
+    sides = _sides(dec.left, dec.right, dec.shape.dims)
+    out, used, stop = _ascend(dec.coefficients, sides, np.ones((4, 4), dtype=bool), 7)
+    assert (used, stop) == want
+    assert (out is sides) == (used == 0)
 
 
 def bell_pair_state(dims):
@@ -561,11 +617,12 @@ def test_maximize_reaches_2_ln_d_on_every_seed(d, seeds):
         assert verify_decomposition(s.state, dec) <= 1e-10
 
 
-def test_maximize_makes_one_svd_one_record_and_two_side_stacks(monkeypatch):
-    # _sides runs twice: once for the stack that every start and every step
-    # of the ascent rotates, once for the report, however many steps the
-    # ascent takes (5 here).  Only the lhs (a 4x4 Gram matrix) reaches
-    # eigvalsh: every rhs side at d = 2 is a qubit cut, taken in closed form.
+def test_maximize_makes_one_svd_one_record_and_one_side_stack(monkeypatch):
+    # _sides runs once, for the stack that every start and every step of the
+    # ascent rotates, however many steps the ascent takes (5 here); the
+    # report reads the ascent's final stack.  Only the lhs (a 4x4 Gram
+    # matrix) reaches eigvalsh: every rhs side at d = 2 is a qubit cut,
+    # taken in closed form.
     s = canonical_counterexample(2)
     calls = collections.Counter()
 
@@ -583,7 +640,7 @@ def test_maximize_makes_one_svd_one_record_and_two_side_stacks(monkeypatch):
     monkeypatch.setattr(SchmidtDecomposition, "__post_init__", post_init)
     _, report = maximize_rhs(s, seed=derive_seed(0, 0))
     assert report.state_descriptor == "restarts=20 sweeps_used=5/2000 stop=converged"
-    assert calls == {"svd": 1, "qr": 1, "eigvalsh": 1, "SchmidtDecomposition": 1, "_sides": 2}
+    assert calls == {"svd": 1, "qr": 1, "eigvalsh": 1, "SchmidtDecomposition": 1, "_sides": 1}
 
 
 def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):

@@ -132,6 +132,17 @@ def test_verify_reports_scaled_vector_defect():
     assert 0.9 < score < 1.5
 
 
+def test_verify_reports_a_defect_of_the_right_vectors_alone():
+    # |00> with coefficients (1, 0): the second right vector never enters the
+    # reconstruction, so a copy of the first one there leaves the residual,
+    # the left family and the coefficient sum exact.  Only the right family's
+    # defect, |<r_0, r_1>| = 1, scores.
+    shape = FactorShape((2, 2))
+    right = np.array([[1.0, 1.0], [0.0, 0.0]])
+    dec = SchmidtDecomposition(BipartiteSplit((1,), (2,)), [1.0, 0.0], np.eye(2), right, shape)
+    assert verify_decomposition(basis_state(shape, (0, 0)), dec) == 1.0
+
+
 def test_verify_rejects_shape_mismatch():
     psi = random_state((2, 2, 2, 2), 5)
     other = schmidt_decompose(random_state((3, 2, 3, 2), 5), ADDITIVITY_SPLIT)

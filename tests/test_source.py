@@ -186,6 +186,35 @@ def test_only_the_eigenvalue_kernels_take_the_shannon_sum():
     ]
 
 
+#: numpy's module-level Python wrappers, each of which costs more per call
+#: than the ndarray method, ufunc or constructor that gives the same bits.
+PER_CALL_WRAPPERS = {
+    "all", "any", "max", "min", "mean", "sum", "diagonal", "trace", "count_nonzero",
+    "flatnonzero", "diff", "tile", "stack", "eye", "full", "delete", "finfo",
+}
+
+#: The functions that may still call one of them, each with its reason.
+WRAPPER_OWNERS = {
+    "inequality.canonical_counterexample": "builds one state per call, off every hot path",
+    "inequality.product_decomposition": "builds one closed-form decomposition per call",
+    "inequality.entangled_decomposition": "builds one closed-form decomposition per call",
+}
+
+
+def test_hot_paths_call_no_numpy_python_wrapper():
+    # scan and maximize_rhs run cold in the CLI and between the benchmark's
+    # yardstick batches, where each wrapper's Python layer costs microseconds.
+    def wrapper(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in PER_CALL_WRAPPERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+
+    assert sorted(set(owners_of(wrapper))) == sorted(WRAPPER_OWNERS)
+
+
 #: Public names that nothing in the package reads and ``__all__`` leaves
 #: out, each with the file outside the package that still names it.  Once
 #: that file stops naming one, the name is dead and should be deleted.
