@@ -77,9 +77,10 @@ def _scalar_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: A scan row's columns in tuple order, and the row as ``json.dumps(doc, indent=2)`` writes it.
+#: A scan row's columns in tuple order, and the row as ``json.dumps(doc, indent=2)``
+#: writes it.  ``%s`` writes an int as ``json`` does and a finite float as ``float.__repr__``.
 _SCAN_COLUMNS = ("sample_index", "derived_seed", "lhs", "rhs", "gap")
-_SCAN_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in _SCAN_COLUMNS) + "\n    }}"
+_SCAN_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in _SCAN_COLUMNS) + "\n    }"
 
 
 def _scan_csv(doc: dict) -> str:
@@ -92,21 +93,24 @@ def _scan_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_float(x: float) -> str:
-    """A float as ``json`` writes it."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+def _scan_row(row: tuple) -> str:
+    """One row from ``_SCAN_ROW``, in one ``%`` step when its floats are
+    finite (a finite sum has no NaN or inf term), else with each float as
+    ``json.dumps`` writes it (``NaN``, ``Infinity``)."""
+    i, k, a, b, g = row
+    if math.isfinite(a + b + g):
+        return _SCAN_ROW % row
+    return _SCAN_ROW % (i, k, *map(json.dumps, (a, b, g)))
 
 
 def _scan_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2)`` of a scan report with dict rows, byte for
-    byte, from rows that are tuples in ``_SCAN_COLUMNS`` order."""
+    byte, from rows that are tuples of Python ints and floats (as
+    ``tolist`` gives them) in ``_SCAN_COLUMNS`` order."""
     text = json.dumps({**doc, "samples": []}, indent=2)
     if not doc["samples"]:
         return text
-    rows = ",\n".join(
-        _SCAN_ROW.format(i, k, _json_float(a), _json_float(b), _json_float(g))
-        for i, k, a, b, g in doc["samples"]
-    )
+    rows = ",\n".join(map(_scan_row, doc["samples"]))
     head, tail = text.split('"samples": []', 1)
     return f'{head}"samples": [\n{rows}\n  ]{tail}'
 

@@ -19,6 +19,7 @@ produce the same outputs on every run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,9 @@ def haar_state(shape: FactorShape, seed: int) -> PureState:
     One draw of shape (2, D) gives the real parts (row 0) and the imaginary
     parts (row 1); interleaving the rows by a copy and viewing the pairs as
     complex gives the values of ``x[0] + 1j * x[1]`` without the arithmetic.
+    :meth:`PureState.normalized` divides that vector by its norm and keeps
+    the quotient, which it gates once: a draw takes two norms, the divisor
+    and the check, and no copy after the interleave.
     """
     x = _rng(_as_int(seed, "seed")).standard_normal((2, shape.total_dimension))
     return PureState.normalized(shape, x.T.copy().view(np.complex128))
@@ -115,11 +119,13 @@ class ScanReport:
 
     n_samples = property(lambda self: self.gap.size)
 
-    @property
+    @functools.cached_property
     def _ok(self) -> np.ndarray:
-        """The mask of the successful samples."""
+        """The mask of the successful samples (read-only), built on its
+        first read: the four aggregates and the CLI's rows all index with it."""
         ok = np.ones(self.n_samples, dtype=bool)
         ok[list(self.errors)] = False
+        ok.setflags(write=False)
         return ok
 
     def _stat(self, stat) -> float:

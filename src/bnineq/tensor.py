@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +108,11 @@ def _positions(positions, n: int, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FactorShape:
-    """Ordered local dimensions (d_1, ..., d_n) of a tensor-product space."""
+    """Ordered local dimensions (d_1, ..., d_n) of a tensor-product space.
+    ``total_dimension``, their product, is computed once, on construction."""
 
     dims: tuple[int, ...]
+    total_dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -125,14 +127,11 @@ class FactorShape:
             raise InputError(
                 f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIMENSION}"
             )
+        object.__setattr__(self, "total_dimension", total)
 
     @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dimension(self) -> int:
-        return math.prod(self.dims)
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -144,13 +143,33 @@ def _norm(amps: np.ndarray) -> float:
     return math.sqrt(np.vdot(re, re) + np.vdot(im, im))
 
 
+def _unit_vector(amps: np.ndarray, shape: FactorShape) -> np.ndarray:
+    """The one gate of a state vector: ``amps``, flat complex128 and owned
+    by the caller, frozen read-only once it has the length of ``shape``, a
+    finite norm and a norm within ``NORM_ATOL`` of 1."""
+    if amps.size != shape.total_dimension:
+        raise InputError(
+            f"amplitude vector has length {amps.size}, expected "
+            f"{shape.total_dimension} for dims {shape.dims}"
+        )
+    norm = _norm(amps)
+    if not math.isfinite(norm):
+        raise InputError(f"state vector norm {norm!r} is not finite")
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise InputError(f"state vector norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized state vector on a tensor-product space.
 
     The amplitude array is stored flat (length = total dimension) in the
     row-major order described in the module docstring, and is frozen
-    read-only after construction.
+    read-only after construction.  Both constructors pass it through one
+    gate, ``_unit_vector``: ``PureState(shape, a)`` on a copy of ``a``,
+    :meth:`normalized` on the quotient it has just allocated.
     """
 
     shape: FactorShape
@@ -158,27 +177,28 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != self.shape.total_dimension:
-            raise InputError(
-                f"amplitude vector has length {amps.size}, expected "
-                f"{self.shape.total_dimension} for dims {self.shape.dims}"
-            )
-        norm = _norm(amps)
-        if not math.isfinite(norm):
-            raise InputError(f"state vector norm {norm!r} is not finite")
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise InputError(f"state vector norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _unit_vector(amps, self.shape))
 
     @classmethod
     def normalized(cls, shape: FactorShape, amplitudes) -> "PureState":
-        """Build a state from an unnormalized amplitude vector."""
+        """Build a state from an unnormalized amplitude vector.
+
+        A vector of norm 0 or inf cannot be normalized, whatever its
+        length.  The quotient ``amplitudes / norm`` is a new array, so the
+        state keeps it as it is, without a copy and without ``__init__``;
+        ``amplitudes`` is left as it was.  The quotient still passes the
+        unit-norm gate: the norm of a vector whose squares are subnormal
+        (1e-160-scale amplitudes) has lost digits, and its quotient's norm
+        is not 1.
+        """
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         norm = _norm(amps)
         if not 0.0 < norm < math.inf:
             raise InputError(f"cannot normalize a vector of norm {norm!r}")
-        return cls(shape, amps / norm)
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "shape", shape)
+        object.__setattr__(psi, "amplitudes", _unit_vector(amps / norm, shape))
+        return psi
 
     def grid(self) -> np.ndarray:
         """The amplitudes reshaped to one axis per factor (read-only view)."""

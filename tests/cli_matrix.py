@@ -107,7 +107,7 @@ REFUSALS = {
     "no-subcommand": [],
 }
 
-#: Every run, by name: the reports above, one long scan in one format,
+#: Every run, by name: the reports above, one long scan in both formats,
 #: the refusals and the help texts.  Every run outside ``REFUSALS`` must
 #: exit 0.
 RUNS = {
@@ -116,10 +116,14 @@ RUNS = {
     for fmt in ("json", "csv")
     for base in ("e", "2")
 } | {
-    # one stack of 4,096 samples at d = 2 and part of a second
-    "scan-d2-chunks-csv": [
-        "scan", "--dim", "2", "--samples", "4100", "--seed", "7", "--format", "csv",
-    ],
+    # one stack of 4,096 samples at d = 2 and part of a second, in both
+    # formats: the JSON run writes 4,100 rows through the row template
+    **{
+        f"scan-d2-chunks-{fmt}": [
+            "scan", "--dim", "2", "--samples", "4100", "--seed", "7", "--format", fmt,
+        ]
+        for fmt in ("json", "csv")
+    },
 } | REFUSALS | {
     "help": ["--help"],
     "maximize-help": ["maximize", "--help"],

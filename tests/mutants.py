@@ -370,6 +370,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "normalized keeps the quotient without the unit-norm check: wrong on 1e-160-scale amplitudes",
+        "tensor",
+        "_unit_vector(amps / norm, shape)",
+        "amps / norm",
+        ("tests/test_tensor.py::test_normalized_rejects_a_vector_whose_norm_underflows",),
+    ),
+    Mutant(
+        "normalized divides in place, into the caller's array: wrong on any complex128 input",
+        "tensor",
+        "_unit_vector(amps / norm, shape)",
+        "_unit_vector(np.divide(amps, norm, out=amps), shape)",
+        (
+            "tests/test_tensor.py::test_normalized_constructor[2x2x2x2]",
+            "tests/test_tensor.py::test_normalized_constructor[4x4x4x4]",
+        ),
+    ),
+    Mutant(
         "a norm gate as wide as the unit-sum gates: wrong at norm 1 + 0.999e-10",
         "tolerances",
         "NORM_ATOL = 1e-12",

@@ -174,6 +174,30 @@ def test_each_batching_rule_has_one_owner():
     assert owners_of(reads_stack_elements) == ["tensor", "tensor._stacks"]
 
 
+def test_the_state_vector_gate_has_one_owner():
+    # ``tensor._unit_vector`` alone reads the unit-norm tolerance, and both
+    # constructors of ``PureState`` call it, so ``normalized``, which skips
+    # ``__init__``, still gates the quotient it keeps.
+    def reads_norm_atol(node):
+        store = isinstance(getattr(node, "ctx", None), ast.Store)
+        return named(node) == "NORM_ATOL" and not store
+
+    # The import binds the name in tensor; _unit_vector alone reads it.
+    assert sorted(set(owners_of(reads_norm_atol))) == ["tensor", "tensor._unit_vector"]
+    state = next(
+        node for node in parse(SOURCE / "tensor.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "PureState"
+    )
+    callers = {
+        method.name
+        for method in state.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and named(node.func) == "_unit_vector"
+    }
+    assert callers == {"__post_init__", "normalized"}
+
+
 def test_only_the_eigenvalue_kernels_take_the_shannon_sum():
     # The gradient kernel reads its entropy off the weights that build its
     # gradient, so no ascent step takes a second pass over the eigenvalues.

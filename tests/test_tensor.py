@@ -23,7 +23,7 @@ from bnineq import (
     state_to_document,
 )
 from bnineq.tensor import _norm, permute_factors
-from helpers import basis_state, kron_state
+from helpers import basis_state, kron_state, shape_id
 
 
 def q22():
@@ -142,11 +142,27 @@ def test_basis_state_places_single_amplitude():
     assert np.array_equal(psi.amplitudes, expected)
 
 
-def test_normalized_constructor():
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2), (2, 3, 3, 2), (4, 4, 4, 4)], ids=shape_id)
+def test_normalized_constructor(dims):
     psi = PureState.normalized(FactorShape((2,)), np.array([3.0, 4.0]))
     assert np.allclose(psi.amplitudes, [0.6, 0.8])
     with pytest.raises(InputError):
         PureState.normalized(FactorShape((2,)), np.zeros(2))
+    # normalized gates its own quotient: the same bytes as the two-step
+    # construction, frozen, and the caller's array neither aliased nor changed.
+    shape = FactorShape(dims)
+    rng = np.random.default_rng(shape.total_dimension)
+    a = rng.standard_normal(shape.total_dimension) + 1j * rng.standard_normal(shape.total_dimension)
+    before = a.copy()
+    psi = PureState.normalized(shape, a)
+    assert psi.amplitudes.tobytes() == PureState(shape, a / _norm(a)).amplitudes.tobytes()
+    assert not psi.amplitudes.flags.writeable
+    assert a.tobytes() == before.tobytes() and a.flags.writeable
+    # The zero-norm gate fires before the length gate.
+    with pytest.raises(InputError, match="cannot normalize"):
+        PureState.normalized(shape, np.zeros(shape.total_dimension + 1))
+    with pytest.raises(InputError, match="amplitude vector has length"):
+        PureState.normalized(shape, np.append(a, 1.0))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
