@@ -181,7 +181,8 @@ def _svd_gaps(amps: np.ndarray, shape: FactorShape) -> tuple[np.ndarray, np.ndar
     gate's refusal of each row that it refuses, by row: the kernels of
     :func:`bn_gap` over :func:`schmidt_decompose`, one call each for the
     whole stack, so each row equals that evaluation, refusal included.  A
-    refused row's lhs and rhs are NaN."""
+    refused row's lhs and rhs are NaN.  ``scan`` redoes a stack that raises
+    a numerical error through this function on one-row stacks."""
     m = _arranged(amps, shape, ADDITIVITY_SPLIT)
     lam, left, right = _schmidt_stack(m)
     lhs, rhs = _lhs(amps, shape), _rhs(lam, _sides(left, right, shape.dims))
@@ -323,16 +324,15 @@ def _rotated(sides: np.ndarray, q: np.ndarray) -> np.ndarray:
     return rotated.reshape(*q.shape[:-2], *sides.shape)
 
 
-def _ascend(
-    lam: np.ndarray, sides: np.ndarray, mask: np.ndarray, sweeps: int
-) -> tuple[np.ndarray, int, str]:
-    """The Riemannian gradient ascent of :func:`maximize_rhs`, which rotates
-    the :func:`_sides` stack ``sides``: the final stack, the accepted steps
-    and the stop reason, "converged" (gradient norm at most ``GRAD_TOL``),
-    "stalled" (no step length ascends) or "budget" (all ``sweeps`` used)."""
-    value, grad = _rhs_ascent(lam, sides, mask)
-    eye = np.zeros((lam.size, lam.size))
-    eye.flat[:: lam.size + 1] = 1.0
+def _ascend(objective, sides: np.ndarray, sweeps: int) -> tuple[np.ndarray, int, str]:
+    """The ascent of :func:`maximize_rhs` on ``objective(stack) -> (value,
+    masked gradient)`` from the :func:`_sides` stack ``sides``: the final
+    stack, the accepted steps and the stop reason, "converged" (gradient
+    norm at most ``GRAD_TOL``), "stalled" (no step length ascends) or
+    "budget" (all ``sweeps`` used)."""
+    value, grad = objective(sides)
+    eye = np.zeros(grad.shape)
+    eye.flat[:: len(grad) + 1] = 1.0
     step, used = 1.0, 0
     while (norm2 := float(np.vdot(grad, grad).real)) > GRAD_TOL**2:
         if used == sweeps:
@@ -342,7 +342,7 @@ def _ascend(
         while step * math.sqrt(norm2) > 1e-15:
             half = 0.5 * step * grad
             trial = _rotated(sides, _lapack("solve", eye - half, eye + half))
-            t_value, t_grad = _rhs_ascent(lam, trial, mask)
+            t_value, t_grad = objective(trial)
             if t_value >= value + 1e-4 * step * norm2:
                 break
             step *= 0.5
@@ -383,18 +383,19 @@ def maximize_rhs(
     ``schmidt._rng(seed, b)``, so restart r is that stream's r-th draw
     however the starts are cut.  The best start wins, and a later start
     must beat it by more than ``START_TIE_TOL``, so ties go to the lowest
-    index.  A Riemannian gradient ascent on W then begins from the
-    winner's stack, the only start whose gradient is computed.  Each of
-    at most ``sweeps`` steps moves along the gradient by a Cayley
-    retraction; the step length is Barzilai-Borwein, halved until the step
-    ascends by the Armijo rule.  It stops as "converged" when the gradient
-    norm is at most ``GRAD_TOL``.  It stops as "stalled" when no step length
-    ascends.  It stops as "budget" when all ``sweeps`` steps are used.  A
-    stop as "converged" or "stalled" certifies no maximum: on the canonical
-    family the SVD start is a product basis where the gradient vanishes, so
-    ``restarts=0`` stops there at rhs 0.
+    index.  A Riemannian gradient ascent on W, ``_ascend``, then climbs
+    the objective ``t -> _rhs_ascent(lam, t, mask)`` (a stack's rhs, its
+    gradient masked to the wide blocks) from the winner's stack, the only
+    start whose gradient is computed.  Each of at most ``sweeps`` steps is
+    a Cayley retraction of Barzilai-Borwein length, halved until the step
+    ascends by the Armijo rule.  It stops as "converged" at a gradient
+    norm of at most ``GRAD_TOL``, as "stalled" when no step length ascends,
+    and as "budget" after ``sweeps`` steps.  A "converged" or "stalled"
+    stop certifies no maximum: on the canonical family the SVD start is a
+    product basis where the gradient vanishes, so ``restarts=0`` stops
+    there at rhs 0.
 
-    Every accepted step ascends, so the result is never worse than the
+    No accepted step descends, so the result is never worse than the
     SVD start.  The blocks are those of :func:`degenerate_blocks`, so every
     W moves the decomposition by at most half of ``RESIDUAL_TOL`` and the
     result passes the residual gate.  The state is arranged once, for the
@@ -449,7 +450,7 @@ def maximize_rhs(
                 initial = t_value
             if i == 0 or t_value > value + START_TIE_TOL:
                 value, best = t_value, rotated[i - stack.start]
-    sides, used, stop = _ascend(lam, best, mask, sweeps)
+    sides, used, stop = _ascend(lambda t: _rhs_ascent(lam, t, mask), best, sweeps)
     left = sides[:k, :d1, :d2].reshape(k, -1).T
     right = sides[k:, :d3, :d4].reshape(k, -1).T
     best_dec = SchmidtDecomposition(ADDITIVITY_SPLIT, lam, left, right, shape)

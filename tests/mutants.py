@@ -291,18 +291,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a stalled ascent reported as converged: wrong at d = 3, seed 164",
+        "a stalled ascent reported as converged: wrong at d = 3, seed 164, and on a fake stall",
         "inequality",
         'return sides, used, "stalled"',
         'return sides, used, "converged"',
-        ("tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",),
+        (
+            "tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",
+            "tests/test_inequality.py::test_ascent_stop_reasons_need_no_pinned_seed[stalling-want3]",
+        ),
     ),
     Mutant(
-        "the failed attempt of a stall counted as a step: wrong at d = 3, seed 164",
+        "the failed attempt of a stall counted as a step: wrong at d = 3, seed 164, and on a "
+        "fake stall",
         "inequality",
         'return sides, used, "stalled"',
         'return sides, used + 1, "stalled"',
-        ("tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",),
+        (
+            "tests/test_inequality.py::test_maximize_reports_a_stall_apart_from_convergence",
+            "tests/test_inequality.py::test_ascent_stop_reasons_need_no_pinned_seed[stalling-want3]",
+        ),
+    ),
+    Mutant(
+        "the trial is scored at the old point: wrong on every fake objective with a nonzero "
+        "gradient",
+        "inequality",
+        "objective(trial)",
+        "objective(sides)",
+        (
+            "tests/test_inequality.py::test_ascent_stop_reasons_need_no_pinned_seed[constant-want0]",
+            "tests/test_inequality.py::test_ascent_stop_reasons_need_no_pinned_seed[rising-want1]",
+            "tests/test_inequality.py::test_ascent_stop_reasons_need_no_pinned_seed[stalling-want3]",
+        ),
     ),
     Mutant(
         "the SVD start drawn like a restart: wrong on a state whose SVD basis is entangled",
@@ -353,11 +372,11 @@ MUTANTS = (
         ("tests/test_sampling.py::test_scan_single_sample_matches_direct_evaluation",),
     ),
     Mutant(
-        "the scan's one-sample route lets the gate's refusal escape: wrong once bn_gap refuses",
+        "the scan's one-sample retry drops the row's refusal: wrong once a one-row stack is refused",
         "sampling",
-        "except (NumericalError, InputError) as exc:",
-        "except NumericalError as exc:",
-        ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",),
+        "evaluate(slice(i, i + 1), amps[i - stack.start, None])",
+        "lhs[i:i + 1], rhs[i:i + 1], _ = _svd_gaps(amps[i - stack.start, None], shape)",
+        ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_one_sample_at_a_time",),
     ),
     Mutant(
         "the residual gate lets a NaN score through: wrong at a NaN score",

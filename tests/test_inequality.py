@@ -525,25 +525,42 @@ SKEW = SKEW - SKEW.conj().T
 
 @pytest.mark.parametrize(
     "objective, want",
-    [("constant", (0, "stalled")), ("rising", (7, "budget")), ("flat", (0, "converged"))],
+    [
+        ("constant", (0, "stalled")),
+        ("rising", (7, "budget")),
+        ("flat", (0, "converged")),
+        ("stalling", (3, "stalled")),
+    ],
 )
-def test_ascent_stop_reasons_need_no_pinned_seed(objective, want, monkeypatch):
+def test_ascent_stop_reasons_need_no_pinned_seed(objective, want):
     # A fake objective stands in for _rhs_ascent, so each stop reason follows
     # from the ascent's rules, not from one seed's path: a value that never
     # rises under a nonzero gradient stalls before a step, a value that rises
-    # on every trial spends all 7 sweeps, and a zero gradient converges at once.
+    # on every trial spends all 7 sweeps, a zero gradient converges at once,
+    # and a value that rises on 3 trials and then stays flat stalls after
+    # 3 steps.  The flat values are 0, where the Armijo margin of a short
+    # step cannot round away: at 3, a trial of equal value would pass.
     values = itertools.count()
     fakes = {
-        "constant": lambda *args: (0.0, SKEW),
-        "rising": lambda *args: (float(next(values)), SKEW),
-        "flat": lambda *args: (0.0, np.zeros_like(SKEW)),
+        "constant": lambda t: (0.0, SKEW),
+        "rising": lambda t: (float(next(values)), SKEW),
+        "flat": lambda t: (0.0, np.zeros_like(SKEW)),
+        "stalling": lambda t: (float(min(next(values) - 3, 0)), SKEW),
     }
-    monkeypatch.setattr(inequality, "_rhs_ascent", fakes[objective])
+    scored = []
+
+    def fake(t):
+        scored.append(t)
+        return fakes[objective](t)
+
     dec = product_decomposition(2)
     sides = _sides(dec.left, dec.right, dec.shape.dims)
-    out, used, stop = _ascend(dec.coefficients, sides, np.ones((4, 4), dtype=bool), 7)
+    out, used, stop = _ascend(fake, sides, 7)
     assert (used, stop) == want
     assert (out is sides) == (used == 0)
+    # The start is scored once, and every later call scores a new trial.
+    assert scored[0] is sides
+    assert len({id(t) for t in scored}) == len(scored)
 
 
 def bell_pair_state(dims):
@@ -670,7 +687,9 @@ def sequential_maximize(s, restarts=20, sweeps=2000, seed=0):
         t_value, _ = _rhs_ascent(lam, _sides(*trial, dims), mask)
         if t_value > value + START_TIE_TOL:
             (lmat, rmat), value, best = trial, t_value, r + 1
-    sides, used, stop = _ascend(lam, _sides(lmat, rmat, dims), mask, sweeps)
+    sides, used, stop = _ascend(
+        lambda t: _rhs_ascent(lam, t, mask), _sides(lmat, rmat, dims), sweeps
+    )
     d1, d2, d3, d4 = dims
     lmat, rmat = sides[:k, :d1, :d2].reshape(k, -1).T, sides[k:, :d3, :d4].reshape(k, -1).T
     dec = replace(dec0, left=lmat, right=rmat)

@@ -198,6 +198,24 @@ def test_the_state_vector_gate_has_one_owner():
     assert callers == {"__post_init__", "normalized"}
 
 
+def test_the_scan_and_the_ascent_each_have_one_route_to_their_evaluator():
+    # The scan redoes a failing stack through the stacked evaluator on
+    # one-row stacks, not through a second route, and the ascent climbs the
+    # objective that maximize_rhs hands it, so a test can hand it a fake.
+    imported = [
+        alias.name
+        for node in parse(SOURCE / "sampling.py").body
+        if isinstance(node, ast.ImportFrom) and node.module == "inequality"
+        for alias in node.names
+    ]
+    assert imported == ["_svd_gaps"]
+    ascend = next(
+        node for node in parse(SOURCE / "inequality.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_ascend"
+    )
+    assert "_rhs_ascent" not in {named(node) for node in ast.walk(ascend)}
+
+
 def test_only_the_eigenvalue_kernels_take_the_shannon_sum():
     # The gradient kernel reads its entropy off the weights that build its
     # gradient, so no ascent step takes a second pass over the eigenvalues.
