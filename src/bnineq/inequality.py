@@ -181,8 +181,7 @@ def _svd_gaps(amps: np.ndarray, shape: FactorShape) -> tuple[np.ndarray, np.ndar
     gate's refusal of each row that it refuses, by row: the kernels of
     :func:`bn_gap` over :func:`schmidt_decompose`, one call each for the
     whole stack, so each row equals that evaluation, refusal included.  A
-    refused row's lhs and rhs are NaN.  ``scan`` redoes a stack that raises
-    a numerical error through this function on one-row stacks."""
+    refused row's lhs and rhs are NaN."""
     m = _arranged(amps, shape, ADDITIVITY_SPLIT)
     lam, left, right = _schmidt_stack(m)
     lhs, rhs = _lhs(amps, shape), _rhs(lam, _sides(left, right, shape.dims))

@@ -1,10 +1,10 @@
 """Seeded Haar-random states and unitaries, and deterministic scans that
 evaluate the inequality over many random four-factor states.
 
-``scan`` only draws the states and records the error rows: the stacked
-SVD route and the residual gate live in :mod:`bnineq.inequality`, where
-``_svd_gaps`` returns each row's refusal.  A stack that raises a numerical
-error is redone by ``_svd_gaps`` on one-row stacks, one per sample.
+``scan`` only draws the states and records the error rows.  The stacked
+evaluation of the SVD route and the residual gate both live in
+:mod:`bnineq.inequality`, beside ``bn_gap``: ``_svd_gaps`` returns each
+row's refusal, and the scan records it.
 
 Reproducibility contract: every random draw comes from a generator of
 ``schmidt._rng(seed, *words)``, which states the seed rule once.
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequality import _svd_gaps
-from .schmidt import _haar_unitaries, _rng
+from .inequality import ADDITIVITY_SPLIT, FourFactorState, _svd_gaps, bn_gap
+from .schmidt import _haar_unitaries, _rng, schmidt_decompose
 from .tensor import FactorShape, InputError, NumericalError, PureState, _as_int, _stacks
 from .tolerances import MAX_SCAN_AMPLITUDES, VIOLATION_THRESHOLD
 
@@ -158,12 +158,15 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
 
     The scan only draws the states and records the error rows; it applies
     no gate of its own.  Each stack of samples that ``tensor._stacks``
-    cuts goes through ``inequality._svd_gaps``: the kernels and the
-    residual gate of ``bn_gap`` over ``schmidt_decompose``, so each row
-    equals the single-state evaluation, refusal included.  A stack that
-    raises a numerical error is redone one sample at a time, through
-    ``_svd_gaps`` on one-row stacks: a sample that fails there keeps the
-    error's text, or the gate's refusal, as its message.
+    cuts is evaluated by ``inequality._svd_gaps``, beside
+    :func:`bn_gap`: the kernels of :func:`schmidt_decompose`,
+    :func:`verify_decomposition`, ``bn_lhs`` and ``bn_rhs`` and the
+    residual gate of ``bn_gap``, so each row equals the single-state
+    evaluation, refusal included.  A stack that raises a numerical error
+    is redone one sample at a time as :func:`bn_gap` over
+    :func:`schmidt_decompose`, the route of ``bnineq check``: a sample
+    that fails there keeps the error's text, or the gate's refusal, as
+    its message.
 
     Note what the aggregate shows: with the SVD decomposition one Haar
     state in about 15 violates the inequality at d = 2 (68 of 1000, seed
@@ -183,19 +186,17 @@ def scan(n_samples: int, shape: FactorShape, master_seed: int) -> ScanReport:
     lhs, rhs = np.empty((2, n_samples))
     lhs[:] = rhs[:] = np.nan  # a failed sample keeps NaN
     errors: dict[int, str] = {}
-
-    def evaluate(rows: slice, amps: np.ndarray) -> None:
-        lhs[rows], rhs[rows], refused = _svd_gaps(amps, shape)
-        errors.update((rows.start + i, text) for i, text in refused.items())
-
     for stack in _stacks(n_samples, shape.total_dimension):
         amps = np.array([haar_state(shape, seed).amplitudes for seed in seeds[stack].tolist()])
         try:
-            evaluate(stack, amps)
+            lhs[stack], rhs[stack], refused = _svd_gaps(amps, shape)
+            errors.update((stack.start + i, text) for i, text in refused.items())
         except NumericalError:
-            for i in range(stack.start, stack.stop):
+            for i, row in enumerate(amps, stack.start):
+                psi = PureState(shape, row)
                 try:
-                    evaluate(slice(i, i + 1), amps[i - stack.start, None])
-                except NumericalError as exc:
+                    report = bn_gap(FourFactorState(psi), schmidt_decompose(psi, ADDITIVITY_SPLIT))
+                    lhs[i], rhs[i] = report.lhs, report.rhs
+                except (NumericalError, InputError) as exc:
                     errors[i] = str(exc)
     return ScanReport(shape, master_seed, seeds, lhs, rhs, lhs - rhs, errors)

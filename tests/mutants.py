@@ -372,11 +372,11 @@ MUTANTS = (
         ("tests/test_sampling.py::test_scan_single_sample_matches_direct_evaluation",),
     ),
     Mutant(
-        "the scan's one-sample retry drops the row's refusal: wrong once a one-row stack is refused",
+        "the scan's one-sample route lets the gate's refusal escape: wrong once bn_gap refuses",
         "sampling",
-        "evaluate(slice(i, i + 1), amps[i - stack.start, None])",
-        "lhs[i:i + 1], rhs[i:i + 1], _ = _svd_gaps(amps[i - stack.start, None], shape)",
-        ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_one_sample_at_a_time",),
+        "except (NumericalError, InputError) as exc:",
+        "except NumericalError as exc:",
+        ("tests/test_sampling.py::test_scan_redoes_a_failing_stack_through_bn_gap",),
     ),
     Mutant(
         "the residual gate lets a NaN score through: wrong at a NaN score",

@@ -209,10 +209,9 @@ def test_scan_records_samples_that_fail_the_residual_gate(monkeypatch):
     assert report.violation_count == clean.violation_count - 1
 
 
-def test_scan_redoes_a_failing_stack_one_sample_at_a_time(fail_lapack, monkeypatch):
-    # Sample 7 breaks the stack's SVD, so all 20 samples are redone on
-    # one-row stacks, whose gate refuses sample 3 with the text a stacked
-    # row gets.
+def test_scan_redoes_a_failing_stack_through_bn_gap(fail_lapack, monkeypatch):
+    # Sample 7 breaks the stack's SVD, so all 20 samples take the bn_gap
+    # route, whose gate refuses sample 3 with the text a stacked row gets.
     clean = scan(20, Q4, 3)
     third = haar_state(Q4, derive_seed(3, 3)).amplitudes
     verify = bnineq.inequality._verify_stack
@@ -224,16 +223,13 @@ def test_scan_redoes_a_failing_stack_one_sample_at_a_time(fail_lapack, monkeypat
 
     monkeypatch.setattr(bnineq.inequality, "_verify_stack", stack_scores)
     stacked = scan(20, Q4, 3).errors[3]
+    monkeypatch.setattr(bnineq.inequality, "_verify_stack", verify)
+    verify_one = bnineq.inequality.verify_decomposition
 
-    def row_scores(m, *args):
-        # At d = 2 the {1,2} | {3,4} arrangement keeps the amplitude order,
-        # so only the one-row stack of sample 3 flattens to its amplitudes.
-        score = verify(m, *args)
-        if np.array_equal(m.reshape(-1), third):
-            score[0] = 1e-6
-        return score
+    def scores(psi, dec):
+        return 1e-6 if np.array_equal(psi.amplitudes, third) else verify_one(psi, dec)
 
-    monkeypatch.setattr(bnineq.inequality, "_verify_stack", row_scores)
+    monkeypatch.setattr(bnineq.inequality, "verify_decomposition", scores)
     fail_lapack("svd", on=haar_state(Q4, derive_seed(3, 7)).amplitudes)
     report = scan(20, Q4, 3)
     assert report.errors == {3: stacked, 7: "SVD failed to converge: injected"}
